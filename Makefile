@@ -84,7 +84,7 @@ bench-wal:
 		| $(GO) run ./cmd/benchjson > BENCH_pr5.json
 
 # bench-ooc records the memory-hierarchy baseline as BENCH_pr9.json: the
-# same m=2^24 four-period AND join against the resident store, the cold
+# same m=2^24 AND join (4 and 20 periods) against the resident store, the cold
 # tier with a warm block cache, and the cold tier with a degenerate
 # cache (every span madvise-evicted between iterations). Each row
 # carries its tier/pagecache/budget/m/t parameters (benchjson lifts the

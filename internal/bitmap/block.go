@@ -23,33 +23,23 @@
 //  3. AND/OR joins are word-wise, so up to maxFusedOperands operands
 //     fold into eight in-register accumulators per block: each output
 //     word is computed in registers from one load per operand, then
-//     counted (and for the Into kernels stored) exactly once. A t-way
+//     counted (and, given a destination, stored) exactly once. A t-way
 //     join streams every operand once and touches the output once,
 //     instead of making t read-modify-write passes over dst.
 //
 // For joins wider than maxFusedOperands the operands are folded in
-// chunks, which would re-stream dst once per chunk; block.go instead
-// tiles the traversal (joinOnesTiled/joinIntoTiled) so each output tile
-// stays cache-resident across all chunk passes — the output is read
-// from memory once no matter how large it is or how many operands fold
-// into it. The tile size comes from a one-shot cache probe at init,
-// overridable with the PTM_JOIN_BLOCK environment knob or
-// SetJoinBlockBytes (see DESIGN.md §13).
+// chunks, which would re-stream the output once per chunk; joinTiled
+// instead tiles the traversal so each output tile stays cache-resident
+// across all chunk passes — the output is read from memory once no
+// matter how large it is or how many operands fold into it. The tile is
+// a constant tileWords words (see DESIGN.md §13).
 //
-// Every path below is differentially tested against joinIntoByWord and
-// the materialized ExpandTo pipeline (fused_test.go, FuzzFusedJoin,
-// FuzzFusedJoinWide).
+// Every path below is differentially tested against the materialized
+// AndAll/OrAll pipeline (fused_test.go, FuzzFusedJoin, FuzzFusedJoinWide).
 
 package bitmap
 
-import (
-	"fmt"
-	"math/bits"
-	"os"
-	"strconv"
-	"sync/atomic"
-	"time"
-)
+import "math/bits"
 
 const (
 	// blockWords is the unroll factor of the inner loops: eight 64-bit
@@ -58,123 +48,19 @@ const (
 	blockWords = 8
 
 	// maxFusedOperands caps how many operand streams the single-pass
-	// register kernels fold per output block. Beyond it the tiled path
+	// register kernel folds per output block. Beyond it the tiled path
 	// takes over. Sixteen covers every period count the paper evaluates
 	// (t ≤ 10) with headroom, and stays within what the hardware
 	// prefetchers track as concurrent streams.
 	maxFusedOperands = 16
 
-	// tileStackWords bounds the stack-resident tile of the count-only
-	// tiled kernel (32 KiB — safely inside any L1d/L2 and far below the
-	// compiler's stack-object limit).
-	tileStackWords = 4096
+	// tileWords is the tiled kernel's output tile: a 32 KiB stack array.
+	// The kernel only needs the tile to stay cache-resident across the
+	// chunk passes, next to the operand streams; 32 KiB fits any L1d/L2
+	// this code plausibly runs on and stays far below the compiler's
+	// stack-object limit.
+	tileWords = 4096
 )
-
-// joinBlockBytes is the cache-block knob for the tiled traversal, in
-// bytes. It is read with an atomic load on the kernel paths so tests and
-// operators may retune it at runtime.
-var joinBlockBytes atomic.Int64
-
-// DefaultJoinBlockBytes is the tile size used when the init-time cache
-// probe is inconclusive (e.g. under a coarse clock): 256 KiB sits inside
-// every L2 this code plausibly runs on while amortizing per-tile setup.
-const DefaultJoinBlockBytes = 1 << 18
-
-func init() {
-	if v := os.Getenv("PTM_JOIN_BLOCK"); v != "" {
-		if kib, err := strconv.Atoi(v); err == nil {
-			if SetJoinBlockBytes(kib*1024) == nil {
-				return
-			}
-		}
-		// A malformed knob falls through to the probe rather than
-		// silently running with a nonsense tile.
-	}
-	joinBlockBytes.Store(int64(probeJoinBlockBytes()))
-}
-
-// SetJoinBlockBytes overrides the cache-block size used by the tiled
-// join traversal. n must be at least one block (64 bytes) and at most
-// 1 GiB; it is rounded down to a whole number of blocks on use. The
-// PTM_JOIN_BLOCK environment variable (in KiB) sets the same knob at
-// process start. Concurrent use with running joins is safe (the knob is
-// read atomically once per join).
-func SetJoinBlockBytes(n int) error {
-	if n < blockWords*8 || n > 1<<30 {
-		return fmt.Errorf("bitmap: join block %d bytes out of range [%d, %d]", n, blockWords*8, 1<<30)
-	}
-	joinBlockBytes.Store(int64(n))
-	return nil
-}
-
-// JoinBlockBytes returns the current cache-block size of the tiled join
-// traversal.
-func JoinBlockBytes() int { return int(joinBlockBytes.Load()) }
-
-// tileWords returns the knob as a word count, clamped to whole blocks.
-//
-//ptm:noalloc
-func tileWords() int {
-	n := int(joinBlockBytes.Load()) / 8
-	n &^= blockWords - 1
-	if n < blockWords {
-		n = blockWords
-	}
-	return n
-}
-
-// probeJoinBlockBytes sizes the cache block with a small one-shot
-// measurement: it times repeated scans of windows of increasing size and
-// picks half the largest window that still runs at near-L1/L2 speed.
-// Total probe traffic is ~20 MiB (a few milliseconds once, at package
-// init). The result only affects performance, never results, so a noisy
-// probe is harmless; the PTM_JOIN_BLOCK knob pins it for reproducible
-// benchmarking.
-func probeJoinBlockBytes() int {
-	const traffic = 1 << 19 // words per candidate (4 MiB of loads)
-	sizes := []int{1 << 15, 1 << 17, 1 << 19, 1 << 21, 1 << 22}
-	buf := make([]uint64, sizes[len(sizes)-1]/8)
-	for i := range buf {
-		buf[i] = uint64(i) // fault the pages in
-	}
-	var sink uint64
-	perWord := make([]float64, len(sizes))
-	for i, s := range sizes {
-		w := s / 8
-		passes := traffic / w
-		if passes < 1 {
-			passes = 1
-		}
-		// One warm-up pass, then the timed passes.
-		for _, v := range buf[:w] {
-			sink += v
-		}
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			for _, v := range buf[:w] {
-				sink += v
-			}
-		}
-		el := time.Since(start)
-		perWord[i] = float64(el.Nanoseconds()) / float64(passes*w)
-	}
-	runtimeSink = sink
-	if perWord[0] <= 0 {
-		return DefaultJoinBlockBytes // clock too coarse to trust
-	}
-	best := sizes[0]
-	for i, s := range sizes {
-		if perWord[i] <= perWord[0]*1.3 {
-			best = s
-		}
-	}
-	// Half the fast window: the tile shares the cache with up to
-	// maxFusedOperands operand streams.
-	return best / 2
-}
-
-// runtimeSink defeats dead-code elimination of the probe loops.
-var runtimeSink uint64
 
 // gatherPat collapses every operand smaller than one block into a single
 // pre-joined block-sized pattern: such an operand's length divides
@@ -221,7 +107,7 @@ func gatherPat(ms []*Bitmap, pat *[blockWords]uint64, and bool) bool {
 
 // gatherOps collects the block-sized-or-larger operand word slices in
 // input order. It reports ok=false when they exceed maxFusedOperands, in
-// which case the caller must take the tiled chunked path. Callers append
+// which case the caller must take the tiled path. Callers append
 // the collapsed small-operand pattern (gatherPat) themselves — the
 // pattern slice must be formed where pat is a local, or escape analysis
 // would see a store of pat's address through a pointer parameter and
@@ -249,19 +135,25 @@ func gatherOps(ms []*Bitmap, ops *[maxFusedOperands][]uint64) (int, bool) {
 	return n, true
 }
 
-// joinOnesRegs is the single-pass count-only kernel: per aligned block
-// of eight output words it folds every operand into eight in-register
+// joinRegs is the single-pass register kernel: per aligned block of
+// eight output words it folds every operand into eight in-register
 // accumulators (one load per operand per word, no modular masks — the
-// block base off & (len-blockWords) is the whole replication story) and
-// fuses the popcount into the same pass. words must be a multiple of
-// blockWords; every operand must be at least one block long (gatherOps
-// guarantees both — the in-loop guards are unreachable but give prove
-// the length facts that discharge every bounds check).
+// block base off & (len-blockWords) is the whole replication story),
+// stores the block into dst when dst is non-nil, and fuses the popcount
+// into the same pass — dst streams through the cache exactly once
+// regardless of the operand count. Because every operand's block is read
+// before the block is stored, dst may alias an equal-size operand (the
+// only aliasing Go's allocator can produce here).
 //
-//ptm:exclusive join plane reads sealed records
+// words must be a multiple of blockWords, and len(dst) is either 0 or
+// words; every operand must be at least one block long (gatherOps
+// guarantees it — the in-loop guards are unreachable but give prove the
+// length facts that discharge every bounds check).
+//
+//ptm:exclusive join plane operates on sealed records and a caller-owned dst
 //ptm:noalloc
 //ptm:nobce
-func joinOnesRegs(words int, ops [][]uint64, and bool) int {
+func joinRegs(dst []uint64, words int, ops [][]uint64, and bool) int {
 	if len(ops) == 0 {
 		return 0
 	}
@@ -314,93 +206,23 @@ func joinOnesRegs(words int, ops [][]uint64, and bool) int {
 				a7 |= ob[7]
 			}
 		}
+		if len(dst) >= blockWords {
+			blk := dst[:blockWords]
+			blk[0], blk[1], blk[2], blk[3] = a0, a1, a2, a3
+			blk[4], blk[5], blk[6], blk[7] = a4, a5, a6, a7
+			dst = dst[blockWords:]
+		}
 		ones += bits.OnesCount64(a0) + bits.OnesCount64(a1) +
 			bits.OnesCount64(a2) + bits.OnesCount64(a3) +
 			bits.OnesCount64(a4) + bits.OnesCount64(a5) +
 			bits.OnesCount64(a6) + bits.OnesCount64(a7)
-	}
-	return ones
-}
-
-// joinIntoRegs is joinOnesRegs with the store: each output block is
-// computed in registers from one load per operand, stored once, and
-// counted in the same pass — dst streams through the cache exactly once
-// regardless of the operand count. Because every operand's block is read
-// before the block is stored, dst may alias an equal-size operand (the
-// only aliasing Go's allocator can produce here).
-//
-//ptm:exclusive join plane operates on sealed records and a caller-owned dst
-//ptm:noalloc
-//ptm:nobce
-func joinIntoRegs(dw []uint64, ops [][]uint64, and bool) int {
-	if len(ops) == 0 {
-		return 0
-	}
-	first := ops[0]
-	rest := ops[1:]
-	ones := 0
-	off := 0
-	for rem := dw; len(rem) >= blockWords; rem = rem[blockWords:] {
-		blk := rem[:blockWords]
-		var a0, a1, a2, a3, a4, a5, a6, a7 uint64
-		if len(first) >= blockWords {
-			fb := first[off&(len(first)-blockWords):]
-			if len(fb) >= blockWords {
-				a0, a1, a2, a3 = fb[0], fb[1], fb[2], fb[3]
-				a4, a5, a6, a7 = fb[4], fb[5], fb[6], fb[7]
-			}
-		}
-		if and {
-			for _, ow := range rest {
-				if len(ow) < blockWords {
-					continue
-				}
-				ob := ow[off&(len(ow)-blockWords):]
-				if len(ob) < blockWords {
-					continue
-				}
-				a0 &= ob[0]
-				a1 &= ob[1]
-				a2 &= ob[2]
-				a3 &= ob[3]
-				a4 &= ob[4]
-				a5 &= ob[5]
-				a6 &= ob[6]
-				a7 &= ob[7]
-			}
-		} else {
-			for _, ow := range rest {
-				if len(ow) < blockWords {
-					continue
-				}
-				ob := ow[off&(len(ow)-blockWords):]
-				if len(ob) < blockWords {
-					continue
-				}
-				a0 |= ob[0]
-				a1 |= ob[1]
-				a2 |= ob[2]
-				a3 |= ob[3]
-				a4 |= ob[4]
-				a5 |= ob[5]
-				a6 |= ob[6]
-				a7 |= ob[7]
-			}
-		}
-		blk[0], blk[1], blk[2], blk[3] = a0, a1, a2, a3
-		blk[4], blk[5], blk[6], blk[7] = a4, a5, a6, a7
-		ones += bits.OnesCount64(a0) + bits.OnesCount64(a1) +
-			bits.OnesCount64(a2) + bits.OnesCount64(a3) +
-			bits.OnesCount64(a4) + bits.OnesCount64(a5) +
-			bits.OnesCount64(a6) + bits.OnesCount64(a7)
-		off += blockWords
 	}
 	return ones
 }
 
 // foldIntoMs accumulates one window of operands into dst (one tile of
 // the full output, whose first word is global word off0), using the same
-// 8-way register blocks as joinIntoRegs but reading dst as the partial
+// 8-way register blocks as joinRegs but reading dst as the partial
 // join (the tile was seeded by patFill). Operands smaller than one block
 // are skipped — their contribution is already in the seed. dst's length
 // must be a multiple of blockWords.
@@ -475,7 +297,7 @@ func patFill(dst []uint64, pat *[blockWords]uint64) {
 }
 
 // popcountWords counts the one bits of a word slice (the tile flush of
-// the tiled kernels; the tile is cache-hot when it runs).
+// the tiled kernel; the tile is cache-hot when it runs).
 //
 //ptm:noalloc
 func popcountWords(ws []uint64) int {
@@ -486,29 +308,29 @@ func popcountWords(ws []uint64) int {
 	return n
 }
 
-// joinOnesTiled is the count-only kernel for joins wider than
-// maxFusedOperands: the output is tiled into a stack-resident buffer,
-// each tile is seeded with the collapsed small-operand pattern (the join
-// identity when none exist) and then endures one register-fold pass per
-// window of maxFusedOperands operands while L1-hot — the cache-blocked
-// traversal of DESIGN.md §13. No output words ever touch main memory.
+// joinTiled is the kernel for joins wider than the register budget: the
+// output is walked in tiles of tw words (at most tileWords) staged in a
+// stack-resident buffer, each joined to completion by joinTile while
+// cache-hot — the cache-blocked traversal of DESIGN.md §13 — then counted
+// and, when dst is non-nil, copied into dst. Every operand word of a tile
+// is read before the tile is copied out, so dst may alias an equal-size
+// operand here too.
+//
+// words and tw must be multiples of blockWords, and len(dst) is either 0
+// or words. (The tw floor below is for prove: it bounds sub[:tw].)
 //
 // The slice-window forms (sub = sub[:remWords] under a direct len
-// comparison, rest consumed by branch-local reslicing) are what lets the
-// prove pass discharge every bounds check; arithmetic n := words - base
-// forms do not.
+// comparison) are what lets the prove pass discharge every bounds check;
+// arithmetic n := words - base forms do not.
 //
-//ptm:exclusive join plane reads sealed records
+//ptm:exclusive join plane operates on sealed records and a caller-owned dst
 //ptm:noalloc
 //ptm:nobce
-func joinOnesTiled(ms []*Bitmap, words int, and bool) int {
-	var pat [blockWords]uint64
-	gatherPat(ms, &pat, and)
-	var tile [tileStackWords]uint64
-	tw := tileWords()
+func joinTiled(dst []uint64, words int, ms []*Bitmap, pat [blockWords]uint64, tw int, and bool) int {
 	if tw < blockWords {
 		tw = blockWords
 	}
+	var tile [tileWords]uint64
 	ones := 0
 	base := 0
 	for remWords := words; remWords > 0; {
@@ -519,89 +341,40 @@ func joinOnesTiled(ms []*Bitmap, words int, and bool) int {
 		if len(sub) > tw {
 			sub = sub[:tw]
 		}
-		patFill(sub, &pat)
-		for rest := ms; len(rest) > 0; {
-			c := rest
-			if len(rest) > maxFusedOperands {
-				c = rest[:maxFusedOperands]
-				rest = rest[maxFusedOperands:]
-			} else {
-				rest = nil
-			}
-			foldIntoMs(sub, base, c, and)
+		ones += joinTile(sub, base, ms, pat, and)
+		if len(dst) >= len(sub) {
+			copy(dst, sub)
+			dst = dst[len(sub):]
 		}
-		ones += popcountWords(sub)
 		base += len(sub)
 		remWords -= len(sub)
 	}
 	return ones
 }
 
-// joinIntoTiled is joinOnesTiled writing the real output: dst is walked
-// in cache-block tiles, each tile seeded from the small-operand pattern
-// and absorbing every operand window while cache-resident, then counted
-// — dst streams from main memory once even when the operand count forces
-// multiple fold passes. The caller must have ruled out operands aliasing
-// dst (joinInto falls back to joinIntoByWord for that: the seed
-// overwrites dst before the folds read the operands).
+// joinTile computes one tile of the join — output words [base,
+// base+len(sub)) — into sub and returns its popcount: the tile is seeded
+// with the collapsed small-operand pattern pat (the join identity when
+// none exist), then endures one register-fold pass per window of
+// maxFusedOperands operands. It is a function of its own so that its
+// loops get the registers the tile walk in joinTiled would otherwise
+// hold; rest is consumed by branch-local reslicing, the form prove
+// discharges.
 //
-//ptm:exclusive join plane operates on sealed records and a caller-owned dst
+//ptm:exclusive join plane operates on sealed records
 //ptm:noalloc
 //ptm:nobce
-func joinIntoTiled(dst *Bitmap, ms []*Bitmap, and bool) int {
-	var pat [blockWords]uint64
-	gatherPat(ms, &pat, and)
-	tw := tileWords()
-	if tw < blockWords {
-		tw = blockWords
-	}
-	ones := 0
-	base := 0
-	for rem := dst.words; len(rem) > 0; {
-		sub := rem
-		if len(rem) > tw {
-			sub = rem[:tw]
-			rem = rem[tw:]
+func joinTile(sub []uint64, base int, ms []*Bitmap, pat [blockWords]uint64, and bool) int {
+	patFill(sub, &pat)
+	for rest := ms; len(rest) > 0; {
+		c := rest
+		if len(rest) > maxFusedOperands {
+			c = rest[:maxFusedOperands]
+			rest = rest[maxFusedOperands:]
 		} else {
-			rem = nil
+			rest = nil
 		}
-		patFill(sub, &pat)
-		for rest := ms; len(rest) > 0; {
-			c := rest
-			if len(rest) > maxFusedOperands {
-				c = rest[:maxFusedOperands]
-				rest = rest[maxFusedOperands:]
-			} else {
-				rest = nil
-			}
-			foldIntoMs(sub, base, c, and)
-		}
-		ones += popcountWords(sub)
-		base += len(sub)
+		foldIntoMs(sub, base, c, and)
 	}
-	return ones
-}
-
-// joinOnesBlocked dispatches a ≥3-operand (or any block-sized) count-only
-// join to the register kernel, or to the tiled kernel when the operand
-// streams exceed the register budget.
-//
-//ptm:exclusive join plane reads sealed records
-//ptm:noalloc
-func joinOnesBlocked(ms []*Bitmap, words int, and bool) int {
-	var ops [maxFusedOperands][]uint64
-	var pat [blockWords]uint64
-	n, ok := gatherOps(ms, &ops)
-	if ok && gatherPat(ms, &pat, and) {
-		if n == len(ops) {
-			ok = false
-		} else {
-			ops[n] = pat[:]
-			n++
-		}
-	}
-	if ok {
-		return joinOnesRegs(words, ops[:n], and)
-	}
-	return joinOnesTiled(ms, words, and)
+	return popcountWords(sub)
 }

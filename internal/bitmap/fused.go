@@ -10,8 +10,8 @@
 // buffer exists at any point. The estimators of internal/core consume
 // only the zero/one fractions of joined bitmaps, so the kernels below
 // also fuse the bits.OnesCount64 reduction into the same pass: each
-// output word is computed, counted, and (for the Into variants) stored
-// exactly once.
+// output word is computed, counted, and (for the Into entry points)
+// stored exactly once.
 //
 // Correctness of the virtual expansion (DESIGN.md §8): for an l-bit
 // bitmap b and any power-of-two m >= l, ExpandTo(m) repeats b's words
@@ -21,8 +21,8 @@
 //
 //	expanded.words[i] == b.words[i & (len(b.words)-1)].
 //
-// Every kernel below is differentially tested against the materialized
-// ExpandTo/And/Or/Ones pipeline (fused_test.go, FuzzFusedJoin).
+// Every kernel is differentially tested against the materialized
+// AndAll/OrAll pipeline (fused_test.go, FuzzFusedJoin, FuzzFusedJoinWide).
 
 package bitmap
 
@@ -69,7 +69,7 @@ func MaxSize(ms []*Bitmap) (int, error) {
 //ptm:noalloc
 //ptm:inline
 func AndOnes(ms []*Bitmap) (ones, m int, err error) {
-	return joinOnes(ms, true)
+	return join(nil, ms, tileWords, true)
 }
 
 // OrOnes is AndOnes for the OR join (the second-level join of
@@ -78,40 +78,101 @@ func AndOnes(ms []*Bitmap) (ones, m int, err error) {
 //ptm:noalloc
 //ptm:inline
 func OrOnes(ms []*Bitmap) (ones, m int, err error) {
-	return joinOnes(ms, false)
+	return join(nil, ms, tileWords, false)
 }
 
+// AndAllInto computes the AND-join of the operands, virtually expanded to
+// dst's size, into dst, and returns the join's popcount from the same
+// pass. dst must be at least as large as every operand (expansion of the
+// join commutes with the join of expansions, so a larger dst holds the
+// join replicated). dst may alias an operand of equal size — every kernel
+// reads a block or tile from all operands before writing it — but must
+// not alias a smaller operand (impossible anyway: sizes differ).
+//
+//ptm:sink bitmap write
 //ptm:noalloc
-func joinOnes(ms []*Bitmap, and bool) (ones, m int, err error) {
+//ptm:inline
+func AndAllInto(dst *Bitmap, ms []*Bitmap) (ones int, err error) {
+	ones, _, err = join(dst, ms, tileWords, true)
+	return ones, err
+}
+
+// OrAllInto is AndAllInto for the OR join.
+//
+//ptm:sink bitmap write
+//ptm:noalloc
+//ptm:inline
+func OrAllInto(dst *Bitmap, ms []*Bitmap) (ones int, err error) {
+	ones, _, err = join(dst, ms, tileWords, false)
+	return ones, err
+}
+
+// join is the one dispatcher of the join plane. It validates the
+// operands, then routes the join — count-only when dst is nil, stored
+// into dst otherwise — to one of three kernels (DESIGN.md §8, §13):
+//
+//   - outputs smaller than one block take the masked-index reference
+//     loop joinByWord;
+//   - otherwise, operands smaller than one block collapse into one
+//     pattern slot, and when the large operands plus that slot fit the
+//     register budget the single-pass register kernel joinRegs folds
+//     every operand per output block;
+//   - wider joins take the tiled kernel joinTiled with tiles of tw
+//     words (tileWords in production; tests pass smaller tiles to force
+//     tile boundaries).
+//
+// Popcounts are order-free integers, so the arm taken changes no result
+// (the float contract of core.pointFractions is over AndOnes *values*,
+// which are exact). The per-join gather indexing here is setup code, so
+// this function carries noalloc but not nobce.
+//
+//ptm:exclusive join plane operates on sealed records and a caller-owned dst
+//ptm:noalloc
+func join(dst *Bitmap, ms []*Bitmap, tw int, and bool) (ones, m int, err error) {
 	m, err = MaxSize(ms)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(ms) == 1 {
-		return ms[0].Ones(), m, nil
-	}
+	var out []uint64
 	words := m / wordBits
+	if dst != nil {
+		if dst.nbits < m {
+			return 0, 0, fmt.Errorf("%w: dst %d < operand %d", ErrShrink, dst.nbits, m)
+		}
+		out, words = dst.words, len(dst.words)
+	}
 	// m is a power of two >= 64, so words >= blockWords implies words is a
 	// multiple of blockWords — the block kernels' only shape requirement.
-	// Popcounts are order-free integers, so rerouting changes no result
-	// (the float contract of core.pointFractions is over AndOnes *values*,
-	// which are exact).
-	if words >= blockWords {
-		return joinOnesBlocked(ms, words, and), m, nil
+	if words < blockWords {
+		return joinByWord(out, ms, words, and), m, nil
 	}
-	if len(ms) == 2 {
-		return joinOnes2(ms[0], ms[1], words, and), m, nil
+	var ops [maxFusedOperands][]uint64
+	var pat [blockWords]uint64
+	hasPat := gatherPat(ms, &pat, and)
+	n, ok := gatherOps(ms, &ops)
+	if ok && hasPat {
+		if n == len(ops) {
+			ok = false
+		} else {
+			ops[n] = pat[:]
+			n++
+		}
 	}
-	return joinOnesByWord(ms, words, and), m, nil
+	if ok {
+		return joinRegs(out, words, ops[:n], and), m, nil
+	}
+	return joinTiled(out, words, ms, pat, tw, and), m, nil
 }
 
-// joinOnesByWord is the pre-block reference loop: one output word at a
-// time through the modular word(i) accessor. It remains the differential
-// oracle for the unrolled kernels (fused_test.go) and the fallback for
-// sub-block outputs (m < 512 bits).
+// joinByWord is the masked-index reference loop: one output word at a
+// time through the modular word(i) accessor, stored into dst when dst is
+// non-nil. It serves outputs smaller than one block (m < 512 bits). Each
+// word is read from every operand before it is stored, so dst may alias
+// an equal-size operand.
 //
+//ptm:exclusive join plane operates on sealed records and a caller-owned dst
 //ptm:noalloc
-func joinOnesByWord(ms []*Bitmap, words int, and bool) int {
+func joinByWord(dst []uint64, ms []*Bitmap, words int, and bool) int {
 	first := ms[0]
 	rest := ms[1:]
 	ones := 0
@@ -126,166 +187,12 @@ func joinOnesByWord(ms []*Bitmap, words int, and bool) int {
 				w |= o.word(i)
 			}
 		}
+		if i < len(dst) {
+			dst[i] = w
+		}
 		ones += bits.OnesCount64(w)
 	}
 	return ones
-}
-
-// joinOnes2 is the two-operand fast path: every estimator's final
-// E_a ∧ E_b and E* ∨ E′* step lands here. It delegates to the word-slice
-// kernel shared with the out-of-core store's mapped-page joins.
-//
-//ptm:exclusive join plane reads sealed records
-//ptm:noalloc
-//ptm:inline
-func joinOnes2(a, b *Bitmap, words int, and bool) int {
-	return joinOnes2W(a.words, b.words, words, and)
-}
-
-// joinOnes2W is joinOnes2 over raw word slices. The emptiness guard is
-// unreachable from the Bitmap path (New enforces >= 64 bits) but hands
-// the prove pass the len > 0 fact it needs to eliminate both masked
-// bounds checks — and makes the word-view entry points total.
-//
-//ptm:exclusive join plane reads sealed records
-//ptm:noalloc
-//ptm:nobce
-func joinOnes2W(aw, bw []uint64, words int, and bool) int {
-	if len(aw) == 0 || len(bw) == 0 {
-		return 0
-	}
-	am, bm := len(aw)-1, len(bw)-1
-	ones := 0
-	if and {
-		for i := 0; i < words; i++ {
-			ones += bits.OnesCount64(aw[i&am] & bw[i&bm])
-		}
-	} else {
-		for i := 0; i < words; i++ {
-			ones += bits.OnesCount64(aw[i&am] | bw[i&bm])
-		}
-	}
-	return ones
-}
-
-// AndAllInto computes the AND-join of the operands, virtually expanded to
-// dst's size, into dst, and returns the join's popcount from the same
-// pass. dst must be at least as large as every operand (expansion of the
-// join commutes with the join of expansions, so a larger dst holds the
-// join replicated). dst may alias an operand of equal size — each word is
-// read from every operand before it is written — but must not alias a
-// smaller operand (impossible anyway: sizes differ).
-//
-//ptm:sink bitmap write
-//ptm:noalloc
-//ptm:inline
-func AndAllInto(dst *Bitmap, ms []*Bitmap) (ones int, err error) {
-	return joinInto(dst, ms, true)
-}
-
-// OrAllInto is AndAllInto for the OR join.
-//
-//ptm:sink bitmap write
-//ptm:noalloc
-//ptm:inline
-func OrAllInto(dst *Bitmap, ms []*Bitmap) (ones int, err error) {
-	return joinInto(dst, ms, false)
-}
-
-// aliases reports whether two bitmaps share backing storage. Bitmaps are
-// never empty (New enforces >= 64 bits), so first-word identity suffices.
-//
-// The emptiness guards are unreachable (New enforces >= 64 bits) but let
-// the prove pass drop the bounds checks here and at every inlined copy
-// inside the //ptm:nobce join kernels.
-//
-//ptm:exclusive address identity check; no word is read or written
-//ptm:noalloc
-//ptm:inline
-//ptm:nobce
-func aliases(a, b *Bitmap) bool {
-	aw, bw := a.words, b.words
-	return len(aw) > 0 && len(bw) > 0 && &aw[0] == &bw[0]
-}
-
-// joinInto validates and dispatches; the unrolled loops themselves live
-// in joinIntoRegs/joinIntoTiled (which carry the nobce contract — this
-// function's once-per-join gather indexing does not).
-//
-//ptm:exclusive join plane operates on sealed records and a caller-owned dst
-//ptm:noalloc
-func joinInto(dst *Bitmap, ms []*Bitmap, and bool) (ones int, err error) {
-	// MaxSize would catch the empty list too, but the explicit guard is
-	// what lets prove see len(ms) >= 1 at the ms[0] and ms[1:] uses.
-	if len(ms) == 0 {
-		return 0, ErrJoinEmpty
-	}
-	m, err := MaxSize(ms)
-	if err != nil {
-		return 0, err
-	}
-	if dst.nbits < m {
-		return 0, fmt.Errorf("%w: dst %d < operand %d", ErrShrink, dst.nbits, m)
-	}
-	// Dispatch (DESIGN.md §13): outputs smaller than one block take the
-	// word-at-a-time reference loop. Otherwise the single-pass register
-	// kernel folds every operand per output block — one load per operand,
-	// one store, one popcount per word — and is aliasing-safe by
-	// construction (all operand blocks are read before the block is
-	// stored). Joins wider than the register budget fall to the tiled
-	// traversal, which revisits each dst tile across chunk passes and so
-	// must not have dst alias an operand; that rare combination falls
-	// back to joinIntoByWord.
-	dw := dst.words
-	if len(dw) < blockWords {
-		return joinIntoByWord(dst, ms, and)
-	}
-	var ops [maxFusedOperands][]uint64
-	var pat [blockWords]uint64
-	n, ok := gatherOps(ms, &ops)
-	if ok && gatherPat(ms, &pat, and) {
-		if n == len(ops) {
-			ok = false
-		} else {
-			ops[n] = pat[:]
-			n++
-		}
-	}
-	if ok {
-		return joinIntoRegs(dw, ops[:n], and), nil
-	}
-	for _, o := range ms {
-		if aliases(dst, o) {
-			return joinIntoByWord(dst, ms, and)
-		}
-	}
-	return joinIntoTiled(dst, ms, and), nil
-}
-
-// joinIntoByWord is the aliasing-safe reference loop: each output word is
-// computed from every operand (through the modular index) before it is
-// stored, so dst may alias any equal-size operand.
-//
-//ptm:exclusive join plane operates on sealed records and a caller-owned dst
-//ptm:noalloc
-func joinIntoByWord(dst *Bitmap, ms []*Bitmap, and bool) (ones int, err error) {
-	first := ms[0]
-	rest := ms[1:]
-	for i := range dst.words {
-		w := first.word(i)
-		if and {
-			for _, o := range rest {
-				w &= o.word(i)
-			}
-		} else {
-			for _, o := range rest {
-				w |= o.word(i)
-			}
-		}
-		dst.words[i] = w
-		ones += bits.OnesCount64(w)
-	}
-	return ones, nil
 }
 
 // JoinScratch is a reusable arena for join outputs. A pipeline leases
@@ -389,7 +296,7 @@ func (s *JoinScratch) joinAllTo(n int, ms []*Bitmap, and bool) (*Bitmap, int, er
 	if err != nil {
 		return nil, 0, err
 	}
-	ones, err := joinInto(dst, ms, and)
+	ones, _, err := join(dst, ms, tileWords, and)
 	if err != nil {
 		return nil, 0, err
 	}

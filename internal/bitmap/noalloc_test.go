@@ -73,9 +73,10 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 }
 
 // TestBlockKernelPathsDoNotAllocate steers the fused entry points down
-// each of block.go's dispatch arms — register kernels, pattern collapse,
-// and the tiled traversal — and requires zero allocations on all of
-// them, mirroring the //ptm:noalloc contracts on the new kernels.
+// each arm of the join dispatcher — the sub-block reference loop, the
+// register kernel, the pattern collapse, the tiled kernel, and a wide
+// join whose dst aliases an operand — and requires zero allocations on
+// all of them, mirroring the //ptm:noalloc contracts on the kernels.
 func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 	wide := func(n, bitsz int) []*Bitmap {
 		ms := make([]*Bitmap, n)
@@ -88,30 +89,34 @@ func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 		}
 		return ms
 	}
-	regs := wide(5, 1<<12)                          // ≤ maxFusedOperands larges → register kernels
-	mixed := append(wide(5, 1<<12), wide(3, 64)...) // sub-block operands → gatherPat collapse
-	tiled := wide(2*maxFusedOperands+1, 1<<12)      // operand overflow → tiled traversal
-	dst := MustNew(1 << 12)
+	tiled := wide(2*maxFusedOperands+1, 1<<12)
+	arms := []struct {
+		name string
+		dst  *Bitmap
+		ms   []*Bitmap
+	}{
+		{"subblock", MustNew(256), wide(3, 256)},                            // < one block → joinByWord
+		{"regs", MustNew(1 << 12), wide(5, 1<<12)},                          // ≤ maxFusedOperands larges → joinRegs
+		{"mixed", MustNew(1 << 12), append(wide(5, 1<<12), wide(3, 64)...)}, // sub-block operands → gatherPat collapse
+		{"tiled", MustNew(1 << 12), tiled},                                  // operand overflow → joinTiled
+		{"aliased", tiled[0], tiled},                                        // dst aliases a wide operand → joinTiled
+	}
 	var sinkInt int
-
-	for name, ms := range map[string][]*Bitmap{"regs": regs, "mixed": mixed, "tiled": tiled} {
-		ms := ms
-		requireZeroAllocs(t, "AndOnes/"+name, func() {
-			ones, _, err := AndOnes(ms)
+	for _, arm := range arms {
+		requireZeroAllocs(t, "AndOnes/"+arm.name, func() {
+			ones, _, err := AndOnes(arm.ms)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sinkInt = ones
 		})
-		requireZeroAllocs(t, "AndAllInto/"+name, func() {
-			ones, err := AndAllInto(dst, ms)
+		requireZeroAllocs(t, "AndAllInto/"+arm.name, func() {
+			ones, err := AndAllInto(arm.dst, arm.ms)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sinkInt = ones
 		})
 	}
-	requireZeroAllocs(t, "JoinBlockBytes", func() { sinkInt = JoinBlockBytes() })
-	requireZeroAllocs(t, "tileWords", func() { sinkInt = tileWords() })
 	_ = sinkInt
 }

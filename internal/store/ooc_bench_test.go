@@ -11,21 +11,22 @@ import (
 
 // oocM is the per-record bitmap size of the out-of-core sweep: 2^24
 // bits (2 MiB of words), the acceptance floor where cold-tier joins
-// must stay within 2x of resident throughput.
+// must stay within 2x of resident throughput. The sweep joins 4 periods
+// (the register kernel) and 20 (past the register budget of 16
+// operands, so the tiled kernel).
 const (
-	oocM       = 1 << 24
-	oocPeriods = 4
-	oocLoc     = vhash.LocationID(1)
+	oocM   = 1 << 24
+	oocLoc = vhash.LocationID(1)
 )
 
-// oocRecords builds the deterministic join operand set: oocPeriods
-// records of oocM bits whose words carry a period-mixed pattern (the
-// AND scan touches every word regardless of density, so the pattern
-// only needs to be non-trivial).
-func oocRecords(b *testing.B) []*record.Record {
+// oocRecords builds the deterministic join operand set: periods records
+// of oocM bits whose words carry a period-mixed pattern (the AND scan
+// touches every word regardless of density, so the pattern only needs
+// to be non-trivial).
+func oocRecords(b *testing.B, periods int) []*record.Record {
 	b.Helper()
-	recs := make([]*record.Record, 0, oocPeriods)
-	for p := 1; p <= oocPeriods; p++ {
+	recs := make([]*record.Record, 0, periods)
+	for p := 1; p <= periods; p++ {
 		words := make([]uint64, oocM/64)
 		seed := uint64(p) * 0x9e3779b97f4a7c15
 		for i := range words {
@@ -40,16 +41,17 @@ func oocRecords(b *testing.B) []*record.Record {
 	return recs
 }
 
-// benchJoin drives the join workload: collect the operands from the
-// store (pinning any cold spans), AND-join their word views with the
-// fused kernel, unpin.
-func benchJoin(b *testing.B, st Store) {
+// benchJoin drives the join workload: collect the first n periods'
+// operands from the store (pinning any cold spans; cold records arrive
+// as FromWords views over the mapped words), AND-join them with the
+// fused kernel exactly as the estimators do, unpin.
+func benchJoin(b *testing.B, st Store, n int) {
 	b.Helper()
-	periods := make([]record.PeriodID, 0, oocPeriods)
-	for p := 1; p <= oocPeriods; p++ {
+	periods := make([]record.PeriodID, 0, n)
+	for p := 1; p <= n; p++ {
 		periods = append(periods, record.PeriodID(p))
 	}
-	b.SetBytes(int64(oocPeriods) * oocM / 8)
+	b.SetBytes(int64(n) * oocM / 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -57,11 +59,11 @@ func benchJoin(b *testing.B, st Store) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ws := make([][]uint64, len(recs))
+		ms := make([]*bitmap.Bitmap, len(recs))
 		for j, rec := range recs {
-			ws[j] = rec.Bitmap.Uint64s()
+			ms[j] = rec.Bitmap
 		}
-		ones, _, err := bitmap.AndOnesWords(ws)
+		ones, _, err := bitmap.AndOnes(ms)
 		unpin()
 		if err != nil {
 			b.Fatal(err)
@@ -79,23 +81,30 @@ func benchJoin(b *testing.B, st Store) {
 	}
 }
 
-// BenchmarkOOCJoin sweeps the memory hierarchy: the same 4-period AND
-// join at m=2^24 against (a) the all-resident store, (b) the cold tier
-// with every span cached (the steady state of a working set that fits
-// PTM_BLOCKCACHE_BYTES), and (c) the cold tier with a degenerate
+// BenchmarkOOCJoin sweeps the memory hierarchy: the same AND join of
+// t periods at m=2^24 against (a) the all-resident store, (b) the cold
+// tier with every span cached (the steady state of a working set that
+// fits PTM_BLOCKCACHE_BYTES), and (c) the cold tier with a degenerate
 // 1-byte cache, so every iteration reloads its spans from the mapped
-// segment after madvise(DONTNEED) — the page-fault-bounded floor. The
-// key=value name segments (tier, pagecache, budget, m, t) land in
-// BENCH_pr9.json as structured params via cmd/benchjson.
+// segment after madvise(DONTNEED) — the page-fault-bounded floor. t=4
+// runs the register kernel, t=20 the tiled kernel. The key=value name
+// segments (tier, pagecache, budget, m, t) land in BENCH_pr9.json as
+// structured params via cmd/benchjson.
 func BenchmarkOOCJoin(b *testing.B) {
-	recs := oocRecords(b)
+	for _, periods := range []int{4, 20} {
+		benchOOCJoin(b, periods)
+	}
+}
+
+func benchOOCJoin(b *testing.B, periods int) {
+	recs := oocRecords(b, periods)
 
 	fmtName := func(tier, extra string) string {
 		s := fmt.Sprintf("tier=%s", tier)
 		if extra != "" {
 			s += "/" + extra
 		}
-		return fmt.Sprintf("%s/m=%d/t=%d", s, oocM, oocPeriods)
+		return fmt.Sprintf("%s/m=%d/t=%d", s, oocM, periods)
 	}
 
 	b.Run(fmtName("resident", ""), func(b *testing.B) {
@@ -108,7 +117,7 @@ func BenchmarkOOCJoin(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		benchJoin(b, m)
+		benchJoin(b, m, periods)
 	})
 
 	coldStore := func(b *testing.B, cacheBytes int64) *Tiered {
@@ -132,7 +141,7 @@ func BenchmarkOOCJoin(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if st := ts.Stats(); st.ColdRecords != oocPeriods {
+		if st := ts.Stats(); st.ColdRecords != periods {
 			b.Fatalf("dataset not fully cold: %+v", st)
 		}
 		return ts
@@ -140,11 +149,11 @@ func BenchmarkOOCJoin(b *testing.B) {
 
 	b.Run(fmtName("cold", "pagecache=warm/budget=1"), func(b *testing.B) {
 		ts := coldStore(b, 0) // default cache holds the whole working set
-		benchJoin(b, ts)
+		benchJoin(b, ts, periods)
 	})
 
 	b.Run(fmtName("cold", "pagecache=evicted/budget=1"), func(b *testing.B) {
 		ts := coldStore(b, 1) // every unpin evicts; every Get reloads
-		benchJoin(b, ts)
+		benchJoin(b, ts, periods)
 	})
 }

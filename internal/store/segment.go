@@ -33,8 +33,8 @@ package store
 //
 // The page alignment of dataOff and the 64-byte alignment of every
 // wordOff mean a mapped record's words can be reinterpreted in place as
-// a []uint64 and handed to the join kernels (bitmap.AndOnesWords) with
-// zero copies. Header and index CRCs are verified at open; per-record
+// a []uint64, wrapped as a bitmap.FromWords view and handed to the join
+// kernels (bitmap.AndOnes) with zero copies. Header and index CRCs are verified at open; per-record
 // word CRCs are verified lazily, when the block cache admits the span
 // (the bytes are about to be streamed anyway) — so opening a huge
 // segment is O(index), not O(data).

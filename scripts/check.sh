@@ -21,12 +21,16 @@
 #                          concurrency stress tests again under -race
 #                          -count=2 — the dynamic complement of the static
 #                          concguard contracts)
-#   9. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
-#  10. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
-#  11. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
+#   9. e2ebench module     (go vet + go test inside the nested e2ebench
+#                          module, which root ./... does not reach, so a
+#                          program API change that breaks the benchmark
+#                          fails here)
+#  10. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
+#  11. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
+#  12. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
 #                          peak-RSS bound + estimates identical to the
 #                          all-resident daemon)
-#  12. cluster smoke       (3-node cluster, R=2: kill -9 the partition
+#  13. cluster smoke       (3-node cluster, R=2: kill -9 the partition
 #                          leader mid-ingest, fail over, revive, join,
 #                          drain — zero acked-record loss and estimates
 #                          byte-identical to a single-node reference)
@@ -95,6 +99,9 @@ go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation
 go test -race -count=2 -run '^TestEstCacheConcurrentQueryIngest$' ./internal/central/
 go test -race -count=2 -run '^TestTieredConcurrentSoak$' ./internal/store/
 
+step "e2ebench module (go vet + go test)"
+(cd e2ebench && go vet ./... && go test ./...)
+
 # Archive the committed benchmark baselines (regenerate with `make
 # bench-json` / `make bench-ingest`) next to the lint report so CI
 # surfaces them all.
@@ -113,6 +120,8 @@ go test -run=NONE -fuzz='^FuzzUnmarshal$' -fuzztime="$FUZZTIME" ./internal/recor
 go test -run=NONE -fuzz='^FuzzRoundTrip$' -fuzztime="$FUZZTIME" ./internal/record/
 go test -run=NONE -fuzz='^FuzzIndex$' -fuzztime="$FUZZTIME" ./internal/vhash/
 go test -run=NONE -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/transport/
+go test -run=NONE -fuzz='^FuzzQueryDecoders$' -fuzztime="$FUZZTIME" ./internal/transport/
+go test -run=NONE -fuzz='^FuzzServerDispatch$' -fuzztime="$FUZZTIME" ./internal/transport/
 go test -run=NONE -fuzz='^FuzzUploadBatch$' -fuzztime="$FUZZTIME" ./internal/transport/
 go test -run=NONE -fuzz='^FuzzReplay$' -fuzztime="$FUZZTIME" ./internal/wal/
 go test -run=NONE -fuzz='^FuzzSnapshotLoad$' -fuzztime="$FUZZTIME" ./internal/central/
