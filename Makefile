@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-fast check bench bench-json bench-ingest bench-wal bench-kernel bench-ooc bench-cluster
+.PHONY: build test lint lint-fast check bench bench-e2e bench-json bench-ingest bench-wal bench-kernel bench-ooc bench-cluster
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,20 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-e2e runs the end-to-end benchmark declared in BENCHMARK.json on
+# each of its three workloads, untraced, printing one JSON result line
+# per workload. Override the seed and the run length with
+# `make bench-e2e E2E_SEED=2 E2E_SECONDS=10`; pass E2E_TRACE=1 for the
+# per-layer split. The build and run scratch stays under .bench_build/.
+E2E_SEED ?= 1
+E2E_SECONDS ?= 20
+E2E_TRACE ?= 0
+
+bench-e2e:
+	for w in period-upload cold-query cluster-dashboard; do \
+		bash e2ebench/run.sh --workload $$w --seed $(E2E_SEED) --seconds $(E2E_SECONDS) --trace $(E2E_TRACE) || exit 1; \
+	done
 
 # bench-json records the join-kernel benchmark baseline (fused vs
 # materialized) at the repo root. scripts/check.sh archives the committed

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 
+	"ptm/internal/bitmap"
 	"ptm/internal/core"
 	"ptm/internal/record"
 	"ptm/internal/store"
@@ -168,9 +169,8 @@ func (s *Server) Periods(loc vhash.LocationID) []record.PeriodID { return s.st.P
 // RecordBlobs returns the marshaled form of every record stored at loc,
 // sorted by period. Cold-tier records are pinned only for the duration
 // of the marshal — the returned blobs are heap copies, safe to hold and
-// send. The cluster subsystem uses this for record-fetch frames and for
-// full-state resync when a follower's WAL watermark predates checkpoint
-// compaction.
+// send. The cluster shipper uses this for full-state resync when a
+// follower's WAL watermark predates checkpoint compaction.
 func (s *Server) RecordBlobs(loc vhash.LocationID) ([][]byte, error) {
 	periods := s.st.Periods(loc)
 	if len(periods) == 0 {
@@ -211,6 +211,27 @@ func (s *Server) get(loc vhash.LocationID, periods []record.PeriodID) (*record.S
 		return nil, 0, nil, err
 	}
 	return set, epoch, unpin, nil
+}
+
+// AndJoin returns the first-level AND join E* of loc's records over
+// periods — one location's half of Eq. (21). As for
+// PointToPointPersistent, every period must be stored and there must be
+// at least two. The join is a fresh heap bitmap computed while the
+// records are pinned, so it outlives the pin. A cluster node serves it
+// to routers that finish a cross-partition point-to-point estimate
+// themselves.
+func (s *Server) AndJoin(loc vhash.LocationID, periods []record.PeriodID) (*bitmap.Bitmap, error) {
+	set, _, unpin, err := s.get(loc, periods)
+	if err != nil {
+		return nil, err
+	}
+	defer unpin()
+	if set.Len() < 2 {
+		return nil, fmt.Errorf("%w: got %d", core.ErrTooFewPeriods, set.Len())
+	}
+	var sc *bitmap.JoinScratch // nil: the join is allocated, not leased
+	e, _, err := sc.AndAll(set.Bitmaps())
+	return e, err
 }
 
 // Volume estimates the plain traffic volume at loc in one period (Eq. 1).

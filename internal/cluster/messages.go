@@ -2,9 +2,10 @@ package cluster
 
 // Wire schemas for the cluster extension frames. Control-plane payloads
 // (ring, status, acks) are JSON — low rate, operator-auditable. The
-// data plane (replication batches, record fetches) reuses the
-// transport's binary record-batch codec, prefixed where needed with a
-// small JSON header. Responses that can fail carry the listing-style
+// data plane is binary: replication batches are the transport's
+// record-batch codec behind a small JSON header, and a per-location join
+// request is the transport's point-query layout, answered with one
+// bitmap encoding. Responses that can fail carry the listing-style
 // status byte: 1 = ok followed by the payload, 0 followed by an error
 // string.
 
@@ -13,6 +14,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"ptm/internal/bitmap"
+	"ptm/internal/record"
+	"ptm/internal/transport"
 	"ptm/internal/vhash"
 )
 
@@ -112,32 +116,57 @@ func splitPayload(p []byte) ([]byte, error) {
 }
 
 // DecodeResponse unwraps a status-byte-framed cluster response
-// (MsgRing, MsgRecords, MsgStatusResp): the remote error when the
+// (MsgRing, MsgStatusResp): the remote error when the
 // status byte is 0, the body otherwise. Exported for the router and
 // ptmcluster.
 func DecodeResponse(p []byte) ([]byte, error) {
 	return splitPayload(p)
 }
 
-// EncodeFetch frames a MsgFetchRecords request for one location.
-// Exported for the router and ptmcluster.
-func EncodeFetch(loc vhash.LocationID) []byte {
-	return encodeFetch(loc)
+// legacyFetchLen is the size of the whole-location fetch request
+// (a bare location ID) that nodes no longer serve.
+const legacyFetchLen = 8
+
+// EncodeJoinRequest frames a MsgFetchRecords request: one location and
+// the periods whose first-level AND join the router needs, in the
+// transport's point-query layout. Exported for the router.
+func EncodeJoinRequest(loc vhash.LocationID, periods []record.PeriodID) ([]byte, error) {
+	return transport.EncodePointQuery(transport.PointQuery{Loc: loc, Periods: periods})
 }
 
-// encodeFetch frames a record-fetch request for one location.
-func encodeFetch(loc vhash.LocationID) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(loc))
-	return b[:]
-}
-
-// decodeFetch parses a record-fetch request.
-func decodeFetch(p []byte) (vhash.LocationID, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("cluster: fetch request %d bytes, want 8", len(p))
+// decodeJoinRequest parses a MsgFetchRecords request, rejecting the
+// legacy whole-location form and period lists over the query bound.
+func decodeJoinRequest(p []byte) (transport.PointQuery, error) {
+	if len(p) == legacyFetchLen {
+		return transport.PointQuery{}, fmt.Errorf("cluster: %d-byte whole-location fetch request is not served; send a location and its periods", len(p))
 	}
-	return vhash.LocationID(binary.LittleEndian.Uint64(p)), nil
+	q, err := transport.DecodePointQuery(p)
+	if err != nil {
+		return transport.PointQuery{}, fmt.Errorf("cluster: join request: %w", err)
+	}
+	if len(q.Periods) > transport.MaxQueryPeriods {
+		return transport.PointQuery{}, fmt.Errorf("cluster: join request names %d periods, max %d", len(q.Periods), transport.MaxQueryPeriods)
+	}
+	return q, nil
+}
+
+// DecodeJoinResponse parses a MsgRecords response into the first-level
+// join E*, verifying the bitmap's checksum and size. A status-0 answer
+// comes back as a *transport.RemoteError: the node is alive and said no
+// (a period not stored, too few periods), which is as definitive as a
+// failed point query. Exported for the router.
+func DecodeJoinResponse(p []byte) (*bitmap.Bitmap, error) {
+	if len(p) == 0 {
+		return nil, fmt.Errorf("cluster: empty join response")
+	}
+	if p[0] != 1 {
+		return nil, &transport.RemoteError{Msg: string(p[1:])}
+	}
+	e, err := bitmap.Unmarshal(p[1:])
+	if err != nil {
+		return nil, fmt.Errorf("cluster: join response: %w", err)
+	}
+	return e, nil
 }
 
 // PeerStatus is one peer's replication state as seen by the shipper.

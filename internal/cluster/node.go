@@ -314,23 +314,25 @@ func (n *Node) handleReplBatch(payload []byte) []byte {
 	return encodeReplAck(replAck{OK: true, Applied: appliedN, Dups: dups})
 }
 
-// handleFetch serves every record of one location (the router's
-// cross-partition point-to-point path, and ptmcluster's convergence
-// checks).
+// handleFetch serves one location's half of a router's cross-partition
+// point-to-point query: the first-level AND join E* of the requested
+// periods (Eq. 21), as status byte 1 and the CRC-checked bitmap
+// encoding. The answer is one bitmap of the location's record size, no
+// matter how many periods are joined or stored.
 func (n *Node) handleFetch(payload []byte) []byte {
-	loc, err := decodeFetch(payload)
+	q, err := decodeJoinRequest(payload)
 	if err != nil {
 		return errPayload(err)
 	}
-	blobs, err := n.RecordBlobs(loc)
+	e, err := n.AndJoin(q.Loc, q.Periods)
 	if err != nil {
 		return errPayload(err)
 	}
-	batch, err := transport.EncodeRecordBlobs(blobs)
+	resp, err := e.AppendBinary([]byte{1})
 	if err != nil {
 		return errPayload(err)
 	}
-	return okPayload(batch)
+	return resp
 }
 
 func (n *Node) handleStatus() []byte {

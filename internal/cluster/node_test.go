@@ -7,15 +7,17 @@ package cluster
 // holding the same records — plus the failover and join/drain flows.
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"ptm/internal/bitmap"
 	"ptm/internal/central"
 	"ptm/internal/record"
 	"ptm/internal/transport"
@@ -101,7 +103,7 @@ func ringOf(epoch uint64, replicas int, nodes ...*testNode) *Ring {
 // testRecord builds a deterministic record: the bitmap bits are a pure
 // function of (loc, period), so the reference store and the cluster see
 // byte-identical records.
-func testRecord(t *testing.T, loc, period, m int) *record.Record {
+func testRecord(t testing.TB, loc, period, m int) *record.Record {
 	t.Helper()
 	rec, err := record.New(vhash.LocationID(loc), record.PeriodID(period), m)
 	if err != nil {
@@ -571,17 +573,111 @@ func TestReplBatchDuplicateAndAppliedTracking(t *testing.T) {
 		t.Fatalf("applied watermark = %d, want 9 (monotonic)", st.Applied["b"])
 	}
 
-	// Record fetch round-trips the stored record.
-	_, resp, _ = a.node.HandleFrame(transport.MsgFetchRecords, encodeFetch(1))
-	body, err := splitPayload(resp)
-	if err != nil {
-		t.Fatal(err)
+	// The replicated record is stored bit for bit.
+	got, unpin, ok := a.node.Store().Lookup(rec.Location, rec.Period)
+	if !ok {
+		t.Fatal("replicated record not stored")
 	}
-	recs, err := transport.DecodeRecordBatch(body)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("fetch returned %d records, %v", len(recs), err)
+	defer unpin()
+	if !got.Bitmap.Equal(rec.Bitmap) {
+		t.Fatal("stored record differs from the replicated one")
 	}
-	if fmt.Sprint(recs[0].Location, recs[0].Period) != fmt.Sprint(rec.Location, rec.Period) {
-		t.Fatalf("fetched %v/%v, want %v/%v", recs[0].Location, recs[0].Period, rec.Location, rec.Period)
+}
+
+// joinFrame sends a MsgFetchRecords payload through the node's frame
+// handler and decodes the answer as the router does.
+func joinFrame(t *testing.T, n *Node, payload []byte) (*bitmap.Bitmap, []byte, error) {
+	t.Helper()
+	rt, resp, handled := n.HandleFrame(transport.MsgFetchRecords, payload)
+	if !handled || rt != transport.MsgRecords {
+		t.Fatalf("MsgFetchRecords: handled=%v response type %v", handled, rt)
 	}
+	e, err := DecodeJoinResponse(resp)
+	return e, resp, err
+}
+
+func TestJoinFrame(t *testing.T) {
+	a := startNode(t, "a")
+	// Mixed record sizes: the join expands the 64-bit records to 128.
+	for p := 1; p <= 5; p++ {
+		if err := a.node.Durable.Ingest(testRecord(t, 1, p, 64<<(p/4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := func(periods ...record.PeriodID) []byte {
+		t.Helper()
+		b, err := EncodeJoinRequest(1, periods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	t.Run("bit-equal to AndAll over Collect", func(t *testing.T) {
+		for _, ps := range [][]record.PeriodID{{1, 2}, {1, 2, 3}, {2, 4, 5}, {5, 1, 3, 4, 2}} {
+			e, resp, err := joinFrame(t, a.node, req(ps...))
+			if err != nil {
+				t.Fatalf("periods %v: %v", ps, err)
+			}
+			recs, _, unpin, err := a.node.Store().Collect(1, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bms := make([]*bitmap.Bitmap, len(recs))
+			for i, r := range recs {
+				bms[i] = r.Bitmap
+			}
+			want, err := bitmap.AndAll(bms)
+			unpin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !e.Equal(want) {
+				t.Fatalf("periods %v: join differs from AndAll", ps)
+			}
+			enc, err := want.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp) != 1+len(enc) {
+				t.Fatalf("periods %v: response %d bytes, want status byte + %d-byte bitmap", ps, len(resp), len(enc))
+			}
+		}
+	})
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string // substring of the remote error
+	}{
+		{"missing period", req(1, 99), central.ErrNotFound.Error()},
+		{"one period", req(3), "at least 2 periods"},
+		{"no periods", req(), central.ErrNoPeriods.Error()},
+		{"legacy whole-location request", make([]byte, 8), "whole-location"},
+		{"truncated period list", req(1, 2, 3)[:8+2+4*2+1], "period list"},
+		{"oversized period list", oversizedJoinRequest(), "max"},
+		{"trailing bytes", append(req(1, 2), 0), "trailing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := joinFrame(t, a.node, tc.payload)
+			if !transport.IsRemote(err) {
+				t.Fatalf("err = %v, want a remote error", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// oversizedJoinRequest is a well-formed join request naming one period
+// more than transport.MaxQueryPeriods.
+func oversizedJoinRequest() []byte {
+	b := make([]byte, 8+2+4*(transport.MaxQueryPeriods+1))
+	binary.LittleEndian.PutUint64(b, 1)
+	binary.LittleEndian.PutUint16(b[8:], transport.MaxQueryPeriods+1)
+	for i := 0; i <= transport.MaxQueryPeriods; i++ {
+		binary.LittleEndian.PutUint32(b[10+4*i:], uint32(i+1))
+	}
+	return b
 }

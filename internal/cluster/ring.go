@@ -134,6 +134,11 @@ type Ring struct {
 // `ptmcluster init` unless overridden.
 const DefaultVNodes = 64
 
+// MaxVNodes bounds VNodes. Every placement lookup builds members×VNodes
+// positions, so a pushed ring with an absurd count would make the
+// leader gate allocate without limit on every ingest.
+const MaxVNodes = 1 << 10
+
 // fnv1a64 is FNV-1a spelled out so the partition map is a frozen,
 // dependency-free function of (member IDs, vnode index, location): the
 // golden ring fixtures pin its outputs, and any change shows up as a
@@ -194,8 +199,8 @@ func (r *Ring) Validate() error {
 	if r.Replicas < 1 {
 		return fmt.Errorf("cluster: ring replicas %d < 1", r.Replicas)
 	}
-	if r.VNodes < 1 {
-		return fmt.Errorf("cluster: ring vnodes %d < 1", r.VNodes)
+	if r.VNodes < 1 || r.VNodes > MaxVNodes {
+		return fmt.Errorf("cluster: ring vnodes %d not in [1, %d]", r.VNodes, MaxVNodes)
 	}
 	if len(r.Members) == 0 {
 		return fmt.Errorf("cluster: ring has no members")

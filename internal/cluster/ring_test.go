@@ -220,6 +220,7 @@ func TestRingValidate(t *testing.T) {
 	}{
 		{"no replicas", func(r *Ring) { r.Replicas = 0 }},
 		{"no vnodes", func(r *Ring) { r.VNodes = 0 }},
+		{"too many vnodes", func(r *Ring) { r.VNodes = MaxVNodes + 1 }},
 		{"no members", func(r *Ring) { r.Members = nil }},
 		{"empty ID", func(r *Ring) { r.Members[0].ID = "" }},
 		{"dup ID", func(r *Ring) { r.Members[1].ID = r.Members[0].ID }},

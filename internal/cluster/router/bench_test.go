@@ -14,7 +14,8 @@ package router
 //     to R-1 followers.
 //   - BenchmarkClusterQueryP2P: point-to-point estimates through the
 //     router; path=server is the colocated push-down, path=client the
-//     cross-partition fetch-and-join.
+//     cross-partition path (two per-location joins, second level in the
+//     router).
 
 import (
 	"fmt"
@@ -109,7 +110,8 @@ func BenchmarkClusterQueryP2P(b *testing.B) {
 	shipAll(b, 2, tns...)
 
 	// Find one colocated pair (served by the leader's fused join) and
-	// one cross-partition pair (fetched and joined in the router).
+	// one cross-partition pair (joined per location, finished in the
+	// router).
 	ring := rt.Ring()
 	var sameA, sameB, crossA, crossB vhash.LocationID
 	for i := 1; i <= benchUploadLocs && (sameA == 0 || crossA == 0); i++ {

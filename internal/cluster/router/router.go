@@ -12,10 +12,11 @@
 // volume estimates are served by whichever replica answers — replicas
 // converge to identical store contents, so the answers are
 // bit-identical. Point-to-point estimates are partition-local when one
-// node leads both locations; otherwise the router fetches both
-// locations' records and runs the paper's Eq. 21 estimator client-side
-// — the same core.EstimatePointToPoint the server runs, over the same
-// record sets, producing the same bits.
+// node leads both locations. Otherwise each location's partition
+// returns its first-level AND join E* over the queried periods, and the
+// router finishes Eq. 21's second level with
+// core.EstimatePointToPointFromJoins — the tail the server's estimator
+// ends in, over the same joins, producing the same bits.
 package router
 
 import (
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"ptm/internal/bitmap"
 	"ptm/internal/cluster"
 	"ptm/internal/core"
 	"ptm/internal/record"
@@ -455,10 +457,12 @@ func (r *Router) QueryPointPersistent(loc vhash.LocationID, periods []record.Per
 }
 
 // QueryPointToPointPersistent estimates point-to-point persistent
-// traffic (Eq. 21). When one node leads both locations the join runs
-// server-side; otherwise the router fetches both partitions' records
-// and runs the estimator locally — same inputs, same code path, same
-// bits as the single-node server (proven by TestRouterP2PBitIdentity).
+// traffic (Eq. 21). When one node leads both locations the whole
+// estimate runs server-side. Otherwise the router asks both partitions
+// at once for their first-level joins E* and E′* over the periods and
+// runs the second level itself — the same joins and the same Eq. 21
+// tail as the single-node server, so the same bits (proven by
+// TestRouterP2PBitIdentity).
 func (r *Router) QueryPointToPointPersistent(locA, locB vhash.LocationID, periods []record.PeriodID) (float64, error) {
 	ring := r.ringSnapshot()
 	leadA, errA := ring.Leader(locA)
@@ -473,60 +477,53 @@ func (r *Router) QueryPointToPointPersistent(locA, locB vhash.LocationID, period
 		if err == nil || transport.IsRemote(err) {
 			return v, err
 		}
-		// Transport failure: fall through to the fetch path, which can
-		// use any replica.
+		// Transport failure: fall through to the per-location joins,
+		// which can use any replica.
 	}
-	setA, err := r.fetchSet(locA, periods)
+	type joinResult struct {
+		e   *bitmap.Bitmap
+		err error
+	}
+	joinedB := make(chan joinResult, 1)
+	go func() {
+		e, err := r.fetchJoin(locB, periods)
+		joinedB <- joinResult{e, err}
+	}()
+	eA, err := r.fetchJoin(locA, periods)
+	b := <-joinedB
 	if err != nil {
 		return 0, err
 	}
-	setB, err := r.fetchSet(locB, periods)
-	if err != nil {
-		return 0, err
+	if b.err != nil {
+		return 0, b.err
 	}
-	res, err := core.EstimatePointToPoint(setA, setB, r.S())
+	// The set-bit counts are recomputed here rather than carried on the
+	// wire, so the estimate depends on the checksummed bitmaps alone.
+	res, err := core.EstimatePointToPointFromJoins(eA, eA.Ones(), b.e, b.e.Ones(), len(periods), r.S())
 	if err != nil {
 		return 0, err
 	}
 	return res.Estimate, nil
 }
 
-// fetchSet pulls loc's records from a replica and builds the record
-// set for exactly the requested periods, mirroring the server's Collect
-// semantics: every requested period must be present.
-func (r *Router) fetchSet(loc vhash.LocationID, periods []record.PeriodID) (*record.Set, error) {
-	if len(periods) == 0 {
-		return nil, fmt.Errorf("router: no periods requested for location %d", loc)
-	}
-	var recs []*record.Record
-	err := r.queryReplicas(loc, func(c *transport.Client) error {
-		resp, err := c.Call(transport.MsgFetchRecords, cluster.EncodeFetch(loc), transport.MsgRecords)
-		if err != nil {
-			return err
-		}
-		body, err := cluster.DecodeResponse(resp)
-		if err != nil {
-			return err
-		}
-		recs, err = transport.DecodeRecordBatch(body)
-		return err
-	})
+// fetchJoin asks a replica of loc, leader first, for the AND join E* of
+// loc's records over periods. Every period must be stored there, as the
+// server's Collect requires.
+func (r *Router) fetchJoin(loc vhash.LocationID, periods []record.PeriodID) (*bitmap.Bitmap, error) {
+	req, err := cluster.EncodeJoinRequest(loc, periods)
 	if err != nil {
 		return nil, err
 	}
-	byPeriod := make(map[record.PeriodID]*record.Record, len(recs))
-	for _, rec := range recs {
-		byPeriod[rec.Period] = rec
-	}
-	picked := make([]*record.Record, 0, len(periods))
-	for _, p := range periods {
-		rec, ok := byPeriod[p]
-		if !ok {
-			return nil, fmt.Errorf("router: location %d period %d not stored", loc, p)
+	var e *bitmap.Bitmap
+	err = r.queryReplicas(loc, func(c *transport.Client) error {
+		resp, err := c.Call(transport.MsgFetchRecords, req, transport.MsgRecords)
+		if err != nil {
+			return err
 		}
-		picked = append(picked, rec)
-	}
-	return record.NewSet(picked)
+		e, err = cluster.DecodeJoinResponse(resp)
+		return err
+	})
+	return e, err
 }
 
 // ListLocations unions the locations of every Up member.

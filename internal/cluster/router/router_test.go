@@ -210,18 +210,46 @@ func TestRouterUploadAndQueryDifferential(t *testing.T) {
 	}
 }
 
+// p2pRecord encodes, as the paper's vehicles do, 96 vehicles that pass
+// every location in every period plus a location-dependent number of
+// transients, so each location's AND join keeps a nonzero, distinct
+// number of set bits and Eq. 21 has a common-vehicle signal to find.
+func p2pRecord(t testing.TB, loc, period, m int) *record.Record {
+	t.Helper()
+	rec, err := record.New(vhash.LocationID(loc), record.PeriodID(period), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(id uint64) {
+		v, err := vhash.NewSeededIdentity(vhash.VehicleID(id), testS, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Bitmap.Set(v.Index(vhash.LocationID(loc), m))
+	}
+	for id := uint64(1); id <= 96; id++ {
+		set(id)
+	}
+	for k := 0; k < 16+4*(loc%5); k++ {
+		set(uint64(1000 + 100*loc + 10*period + k))
+	}
+	return rec
+}
+
 func TestRouterP2PBitIdentity(t *testing.T) {
 	nodes, rt, ref := clusterOf(t, 3)
-	const m = 64
 	locs := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	periods := []record.PeriodID{1, 2, 3, 4}
+	// Odd locations hold 1024-bit records and even ones 512-bit, so pairs
+	// asked in both orders run the m <= m′ swap from either side.
+	size := func(loc int) int { return 512 << (loc % 2) }
 	var batch []*record.Record
 	for _, loc := range locs {
 		for _, p := range periods {
-			if err := ref.Ingest(testRecord(t, loc, int(p), m)); err != nil {
+			if err := ref.Ingest(p2pRecord(t, loc, int(p), size(loc))); err != nil {
 				t.Fatal(err)
 			}
-			batch = append(batch, testRecord(t, loc, int(p), m))
+			batch = append(batch, p2pRecord(t, loc, int(p), size(loc)))
 		}
 	}
 	if _, err := rt.UploadBatch(batch); err != nil {
@@ -229,46 +257,116 @@ func TestRouterP2PBitIdentity(t *testing.T) {
 	}
 	shipAll(t, 3, nodes...)
 
+	check := func(la, lb vhash.LocationID) {
+		t.Helper()
+		want, err := ref.PointToPointPersistent(la, lb, periods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rt.QueryPointToPointPersistent(la, lb, periods)
+		if err != nil {
+			t.Fatalf("p2p(%d,%d): %v", la, lb, err)
+		}
+		if got != want.Estimate {
+			t.Fatalf("p2p(%d,%d) = %v, want %v", la, lb, got, want.Estimate)
+		}
+		if want.Raw <= 0 {
+			t.Fatalf("p2p(%d,%d): raw estimate %v, want a positive signal", la, lb, want.Raw)
+		}
+	}
 	ring := rt.Ring()
-	sameLeader, crossLeader := 0, 0
+	leader := func(loc int) string {
+		t.Helper()
+		m, err := ring.Leader(vhash.LocationID(loc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.ID
+	}
+	sameLeader, crossLeader, crossUnequal := 0, 0, 0
 	for i := 0; i < len(locs); i++ {
 		for j := i + 1; j < len(locs); j++ {
-			la, lb := vhash.LocationID(locs[i]), vhash.LocationID(locs[j])
-			leadA, err := ring.Leader(la)
-			if err != nil {
-				t.Fatal(err)
-			}
-			leadB, err := ring.Leader(lb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if leadA.ID == leadB.ID {
+			if leader(locs[i]) == leader(locs[j]) {
 				sameLeader++
 			} else {
 				crossLeader++
+				if size(locs[i]) != size(locs[j]) {
+					crossUnequal++
+				}
 			}
-			want, err := ref.PointToPointPersistent(la, lb, periods)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rt.QueryPointToPointPersistent(la, lb, periods)
-			if err != nil {
-				t.Fatalf("p2p(%d,%d): %v", la, lb, err)
-			}
-			if got != want.Estimate {
-				t.Fatalf("p2p(%d,%d) = %v, want %v (leaders %s/%s)",
-					la, lb, got, want.Estimate, leadA.ID, leadB.ID)
-			}
+			check(vhash.LocationID(locs[i]), vhash.LocationID(locs[j]))
+			check(vhash.LocationID(locs[j]), vhash.LocationID(locs[i]))
 		}
 	}
 	// The test is only meaningful if both code paths ran.
-	if sameLeader == 0 || crossLeader == 0 {
-		t.Fatalf("degenerate leader split: same=%d cross=%d", sameLeader, crossLeader)
+	if sameLeader == 0 || crossLeader == 0 || crossUnequal == 0 {
+		t.Fatalf("degenerate leader split: same=%d cross=%d cross with unequal sizes=%d",
+			sameLeader, crossLeader, crossUnequal)
 	}
 
 	// A missing period must fail, mirroring the server's Collect.
 	if _, err := rt.QueryPointToPointPersistent(1, 2, []record.PeriodID{1, 99}); err == nil {
 		t.Fatal("p2p over a missing period succeeded")
+	}
+
+	// Wire bytes: a location's join answer is one bitmap encoding of its
+	// record size, the same whether it stores 4 periods or 16 and
+	// whether 2 or 16 of them are joined.
+	more := make([]record.PeriodID, 16)
+	for i := range more {
+		more[i] = record.PeriodID(i + 1)
+	}
+	for _, p := range more[len(periods):] {
+		if _, err := rt.UploadBatch([]*record.Record{p2pRecord(t, 2, int(p), size(2))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shipAll(t, 3, nodes...)
+	enc, err := p2pRecord(t, 2, 1, size(2)).Bitmap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		loc     vhash.LocationID
+		periods []record.PeriodID
+	}{{4, periods}, {2, periods}, {2, more[:2]}, {2, more}} {
+		var resp []byte
+		err := rt.queryReplicas(q.loc, func(c *transport.Client) error {
+			req, err := cluster.EncodeJoinRequest(q.loc, q.periods)
+			if err != nil {
+				return err
+			}
+			resp, err = c.Call(transport.MsgFetchRecords, req, transport.MsgRecords)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp) != 1+len(enc) {
+			t.Fatalf("join of loc %d over %d periods: %d response bytes, want %d",
+				q.loc, len(q.periods), len(resp), 1+len(enc))
+		}
+	}
+
+	// Leader down: every pair involving the victim's partitions is served
+	// by the followers' joins (and, for a pair the victim led alone, by
+	// the join path after the colocated call fails).
+	victim := nodes[0]
+	if err := victim.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for i := 0; i < len(locs); i++ {
+		for j := i + 1; j < len(locs); j++ {
+			if leader(locs[i]) != victim.node.ID() && leader(locs[j]) != victim.node.ID() {
+				continue
+			}
+			check(vhash.LocationID(locs[i]), vhash.LocationID(locs[j]))
+			served++
+		}
+	}
+	if served == 0 {
+		t.Fatalf("victim %s leads no tested location", victim.node.ID())
 	}
 }
 

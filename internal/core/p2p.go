@@ -67,6 +67,23 @@ func EstimatePointToPointWith(sc *bitmap.JoinScratch, setL, setLPrime *record.Se
 	if err != nil {
 		return nil, fmt.Errorf("core: joining records at L': %w", err)
 	}
+	return EstimatePointToPointFromJoins(eL, onesL, eLP, onesLP, setL.Len(), s)
+}
+
+// EstimatePointToPointFromJoins is the second level of Eq. (21): given
+// the first-level AND joins E* at L (with onesL set bits) and E′* at L′
+// (onesLP set bits), each over the same t periods, it orders the two so
+// that m <= m′, counts E″* with a fused OR+popcount over E* (virtually
+// expanded) and E′* without materializing it, and inverts the zero
+// fractions. EstimatePointToPointWith ends here, and so does the cluster
+// router, which receives E* and E′* from the two locations' partitions.
+func EstimatePointToPointFromJoins(eL *bitmap.Bitmap, onesL int, eLP *bitmap.Bitmap, onesLP, t, s int) (*PointToPointResult, error) {
+	if s < 1 {
+		return nil, fmt.Errorf("%w: got %d", ErrBadS, s)
+	}
+	if t < 2 {
+		return nil, fmt.Errorf("%w: got %d", ErrTooFewPeriods, t)
+	}
 	swapped := false
 	if eL.Size() > eLP.Size() {
 		eL, eLP = eLP, eL
@@ -81,7 +98,7 @@ func EstimatePointToPointWith(sc *bitmap.JoinScratch, setL, setLPrime *record.Se
 	v0 := float64(m-onesL) / float64(m)
 	v0p := float64(mPrime-onesLP) / float64(mPrime)
 	v0dp := float64(mPrime-onesDP) / float64(mPrime)
-	return p2pResultFromFractions(m, mPrime, s, setL.Len(), swapped, v0, v0p, v0dp)
+	return p2pResultFromFractions(m, mPrime, s, t, swapped, v0, v0p, v0dp)
 }
 
 func estimateFromP2PJoin(j *PointToPointJoin, s int) (*PointToPointResult, error) {

@@ -63,10 +63,14 @@ const (
 	// MsgReplAck acknowledges a replication batch once every record in
 	// it is as durable on the follower as its store promises.
 	MsgReplAck
-	// MsgFetchRecords requests a location's full record set (router ->
-	// node), for cross-partition joins computed client-side.
+	// MsgFetchRecords requests one location's half of a cross-partition
+	// point-to-point query (router -> node): the location and the
+	// periods, in the MsgQueryPoint payload layout, whose records the
+	// node AND-joins.
 	MsgFetchRecords
-	// MsgRecords carries a batch of marshaled records (node -> router).
+	// MsgRecords answers MsgFetchRecords (node -> router): a status byte
+	// 1 and the first-level join E* as one CRC-checked bitmap encoding,
+	// or a status byte 0 and an error string.
 	MsgRecords
 	// MsgStatus requests a node's cluster status summary.
 	MsgStatus

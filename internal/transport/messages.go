@@ -93,6 +93,18 @@ func decodePointQuery(b []byte) (PointQuery, error) {
 	return PointQuery{Loc: loc, Periods: ps}, nil
 }
 
+// EncodePointQuery frames a location and its period list in the
+// MsgQueryPoint payload layout — exported for protocol extensions (the
+// cluster's per-location join request) that name one location's periods.
+func EncodePointQuery(q PointQuery) ([]byte, error) {
+	return q.encode()
+}
+
+// DecodePointQuery parses a payload framed by EncodePointQuery.
+func DecodePointQuery(b []byte) (PointQuery, error) {
+	return decodePointQuery(b)
+}
+
 // P2PQuery asks for the Eq. (21) point-to-point persistent estimate.
 type P2PQuery struct {
 	LocA, LocB vhash.LocationID
@@ -260,8 +272,8 @@ func decodeUploadBatch(b []byte) ([]*record.Record, error) {
 }
 
 // EncodeRecordBatch frames records in the UploadBatch wire format —
-// exported for protocol extensions (cluster replication and record
-// fetch) that carry record batches in their own frame types.
+// exported for protocol extensions that carry record batches in their
+// own frame types.
 //
 //ptm:sink transport upload
 func EncodeRecordBatch(recs []*record.Record) ([]byte, error) {

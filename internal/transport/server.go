@@ -39,7 +39,7 @@ type Store interface {
 // Extension is an optional interface a Store may implement to handle
 // protocol frames beyond the core upload/query set. The cluster node
 // (internal/cluster) implements it for ring management, replication,
-// and record-fetch frames, without this package importing those
+// and per-location join frames, without this package importing those
 // schemas. HandleFrame returns handled=false for frame types it does
 // not recognize; the server then answers with the generic bad-frame
 // failure. Implementations must be safe for concurrent use — the

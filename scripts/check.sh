@@ -126,6 +126,7 @@ go test -run=NONE -fuzz='^FuzzUploadBatch$' -fuzztime="$FUZZTIME" ./internal/tra
 go test -run=NONE -fuzz='^FuzzReplay$' -fuzztime="$FUZZTIME" ./internal/wal/
 go test -run=NONE -fuzz='^FuzzSnapshotLoad$' -fuzztime="$FUZZTIME" ./internal/central/
 go test -run=NONE -fuzz='^FuzzSegmentLoad$' -fuzztime="$FUZZTIME" ./internal/store/
+go test -run=NONE -fuzz='^FuzzClusterFrames$' -fuzztime="$FUZZTIME" ./internal/cluster/
 
 step "crash-recovery smoke (WAL-backed centrald, kill -9 mid-stream)"
 scripts/crashsmoke.sh
