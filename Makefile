@@ -55,7 +55,7 @@ BENCH_OUT ?= BENCH_pr3.json
 
 bench-json:
 	$(GO) test -run=NONE \
-		-bench='BenchmarkJoinPoint|BenchmarkJoinPointToPoint|BenchmarkEstimatePoint|BenchmarkAndAll' \
+		-bench='BenchmarkEstimatePoint|BenchmarkAndAll' \
 		-benchmem ./internal/core/ ./internal/bitmap/ \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 

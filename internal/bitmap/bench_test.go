@@ -8,7 +8,7 @@ package bitmap
 // Join benchmarks report throughput via b.SetBytes as *operand bytes
 // folded per op*: the kernel touches words(m) output positions and folds
 // t operand words into each, so one op processes 8·words·t bytes (+
-// 8·words store traffic for the Into variants). That is the same
+// 8·words store traffic for the scratch-stored variant). That is the same
 // per-word unit BenchmarkBandwidthBaseline/popcount reports, so the
 // kernels' bytes/ns divided by the baseline's is the fraction of the
 // machine's streaming ceiling the join plane reaches (benchjson derives
@@ -79,7 +79,7 @@ func BenchmarkAndAll(b *testing.B) {
 			})
 			b.Run(name+"/fused-scratch", func(b *testing.B) {
 				b.ReportAllocs()
-				// The Into path stores every output word on top of the
+				// The scratch path stores every output word on top of the
 				// t-way fold.
 				b.SetBytes(foldBytes + int64(m/64)*8)
 				sc := new(JoinScratch)

@@ -10,8 +10,8 @@
 // buffer exists at any point. The estimators of internal/core consume
 // only the zero/one fractions of joined bitmaps, so the kernels below
 // also fuse the bits.OnesCount64 reduction into the same pass: each
-// output word is computed, counted, and (for the Into entry points)
-// stored exactly once.
+// output word is computed, counted, and (for JoinScratch.AndAll) stored
+// exactly once.
 //
 // Correctness of the virtual expansion (DESIGN.md §8): for an l-bit
 // bitmap b and any power-of-two m >= l, ExpandTo(m) repeats b's words
@@ -79,32 +79,6 @@ func AndOnes(ms []*Bitmap) (ones, m int, err error) {
 //ptm:inline
 func OrOnes(ms []*Bitmap) (ones, m int, err error) {
 	return join(nil, ms, tileWords, false)
-}
-
-// AndAllInto computes the AND-join of the operands, virtually expanded to
-// dst's size, into dst, and returns the join's popcount from the same
-// pass. dst must be at least as large as every operand (expansion of the
-// join commutes with the join of expansions, so a larger dst holds the
-// join replicated). dst may alias an operand of equal size — every kernel
-// reads a block or tile from all operands before writing it — but must
-// not alias a smaller operand (impossible anyway: sizes differ).
-//
-//ptm:sink bitmap write
-//ptm:noalloc
-//ptm:inline
-func AndAllInto(dst *Bitmap, ms []*Bitmap) (ones int, err error) {
-	ones, _, err = join(dst, ms, tileWords, true)
-	return ones, err
-}
-
-// OrAllInto is AndAllInto for the OR join.
-//
-//ptm:sink bitmap write
-//ptm:noalloc
-//ptm:inline
-func OrAllInto(dst *Bitmap, ms []*Bitmap) (ones int, err error) {
-	ones, _, err = join(dst, ms, tileWords, false)
-	return ones, err
 }
 
 // join is the one dispatcher of the join plane. It validates the
@@ -196,10 +170,10 @@ func joinByWord(dst []uint64, ms []*Bitmap, words int, and bool) int {
 }
 
 // JoinScratch is a reusable arena for join outputs. A pipeline leases
-// output bitmaps with AndAll/OrAll, consumes them, and calls Reset; the
-// next cycle reuses the same backing storage, so steady-state join
-// pipelines (the ~1000-trial evaluation cells, the daemon's query loop)
-// allocate nothing. Leased bitmaps are valid only until the next Reset.
+// output bitmaps with AndAll, consumes them, and calls Reset; the next
+// cycle reuses the same backing storage, so steady-state join pipelines
+// (the ~1000-trial evaluation cells, the daemon's query loop) allocate
+// nothing. Leased bitmaps are valid only until the next Reset.
 //
 // The zero value is ready to use. A nil *JoinScratch is also valid: every
 // lease falls back to a fresh allocation, which lets one code path serve
@@ -220,19 +194,14 @@ func (s *JoinScratch) Reset() {
 }
 
 // lease returns an n-bit bitmap backed by the scratch (or freshly
-// allocated for a nil receiver). Its contents are unspecified; callers
+// allocated for a nil receiver). n is an operand's size, so it is
+// already a valid power of two. Its contents are unspecified; callers
 // must overwrite every word before reading.
 //
 //ptm:exclusive scratch arenas are single-owner by contract
 func (s *JoinScratch) lease(n int) (*Bitmap, error) {
 	if s == nil {
 		return New(n)
-	}
-	if n < wordBits || n > MaxBits {
-		return nil, fmt.Errorf("%w: %d not in [%d, %d]", ErrSizeOutOfRange, n, wordBits, MaxBits)
-	}
-	if n&(n-1) != 0 {
-		return nil, fmt.Errorf("%w: %d", ErrSizeNotPowerOfTwo, n)
 	}
 	if s.used < len(s.slots) {
 		b := s.slots[s.used]
@@ -255,48 +224,22 @@ func (s *JoinScratch) lease(n int) (*Bitmap, error) {
 }
 
 // AndAll AND-joins the operands into a scratch-leased bitmap of the
-// common size m and returns it with its popcount. The result is valid
-// until the next Reset.
+// common size m and returns it with its popcount from the same pass. It
+// is the join plane's one writer: the first-level joins E* of Section
+// IV-A and the stored-record joins of the query servers are made here.
+// The result is valid until the next Reset.
+//
+//ptm:sink bitmap write
 func (s *JoinScratch) AndAll(ms []*Bitmap) (*Bitmap, int, error) {
-	return s.joinAll(ms, true)
-}
-
-// OrAll is AndAll for the OR join.
-func (s *JoinScratch) OrAll(ms []*Bitmap) (*Bitmap, int, error) {
-	return s.joinAll(ms, false)
-}
-
-// AndAllTo is AndAll with an explicit output size n >= the largest
-// operand; the join is produced replicated to n bits (Section III-A
-// expansion of the joined result). JoinPoint uses it to keep E_a and E_b
-// at the common size m even when the largest record fell in the other
-// subset.
-func (s *JoinScratch) AndAllTo(n int, ms []*Bitmap) (*Bitmap, int, error) {
-	return s.joinAllTo(n, ms, true)
-}
-
-// OrAllTo is AndAllTo for the OR join.
-func (s *JoinScratch) OrAllTo(n int, ms []*Bitmap) (*Bitmap, int, error) {
-	return s.joinAllTo(n, ms, false)
-}
-
-func (s *JoinScratch) joinAll(ms []*Bitmap, and bool) (*Bitmap, int, error) {
 	m, err := MaxSize(ms)
 	if err != nil {
 		return nil, 0, err
 	}
-	return s.joinAllTo(m, ms, and)
-}
-
-func (s *JoinScratch) joinAllTo(n int, ms []*Bitmap, and bool) (*Bitmap, int, error) {
-	if len(ms) == 0 {
-		return nil, 0, ErrJoinEmpty
-	}
-	dst, err := s.lease(n)
+	dst, err := s.lease(m)
 	if err != nil {
 		return nil, 0, err
 	}
-	ones, _, err := join(dst, ms, tileWords, and)
+	ones, _, err := join(dst, ms, tileWords, true)
 	if err != nil {
 		return nil, 0, err
 	}

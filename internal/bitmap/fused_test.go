@@ -42,7 +42,8 @@ func opName(and bool) string {
 // against the oracle, for every output kind: count only, Into a dst of
 // the natural size m, Into a replicated 4m-bit dst, and Into a dst that
 // aliases an equal-size operand. With the production tile it also drives
-// the exported entry points, which pass exactly that tile.
+// the exported entry points, which pass exactly that tile: AndOnes/OrOnes
+// and JoinScratch.AndAll, fresh and nil.
 func checkJoin(t *testing.T, ms []*Bitmap, tw int, and bool) {
 	t.Helper()
 	name := opName(and)
@@ -94,24 +95,18 @@ func checkJoin(t *testing.T, ms []*Bitmap, tw int, and bool) {
 	if tw != tileWords {
 		return
 	}
-	onesFn, intoFn := OrOnes, OrAllInto
+	onesFn := OrOnes
 	if and {
-		onesFn, intoFn = AndOnes, AndAllInto
+		onesFn = AndOnes
 	}
 	ones, _, err = onesFn(ms)
 	expect("Ones", nil, ones, err)
-	dst := MustNew(m)
-	ones, err = intoFn(dst, ms)
-	expect("AllInto", dst, ones, err)
+	if !and {
+		return
+	}
 	for _, s := range []*JoinScratch{new(JoinScratch), nil} {
-		all, allTo := s.OrAll, s.OrAllTo
-		if and {
-			all, allTo = s.AndAll, s.AndAllTo
-		}
-		got, ones, err := all(ms)
-		expect("scratch All", got, ones, err)
-		got, ones, err = allTo(4*m, ms)
-		expect("scratch AllTo", got, ones, err)
+		got, ones, err := s.AndAll(ms)
+		expect("scratch AndAll", got, ones, err)
 	}
 }
 
@@ -352,13 +347,7 @@ func TestBlockKernelsAliasedWide(t *testing.T) {
 	for _, and := range []bool{true, false} {
 		want := oracle(t, ms, and)
 		dst := ms[rng.Intn(len(ms))]
-		var ones int
-		var err error
-		if and {
-			ones, err = AndAllInto(dst, ms)
-		} else {
-			ones, err = OrAllInto(dst, ms)
-		}
+		ones, _, err := join(dst, ms, tileWords, and)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +384,7 @@ func TestFusedSingleOperand(t *testing.T) {
 	}
 	// A single operand into a larger dst is a pure replication.
 	dst := MustNew(1024)
-	if _, err := OrAllInto(dst, []*Bitmap{b}); err != nil {
+	if _, _, err := join(dst, []*Bitmap{b}, tileWords, false); err != nil {
 		t.Fatal(err)
 	}
 	want, err := b.ExpandTo(1024)
@@ -403,7 +392,7 @@ func TestFusedSingleOperand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !dst.Equal(want) {
-		t.Fatal("single-operand OrAllInto is not the replication expansion")
+		t.Fatal("single-operand OR into a larger dst is not the replication expansion")
 	}
 }
 
@@ -418,22 +407,16 @@ func TestFusedErrors(t *testing.T) {
 		t.Fatal("MaxSize(nil) should fail")
 	}
 	big, small := MustNew(512), MustNew(64)
-	if _, err := AndAllInto(small, []*Bitmap{big}); err == nil {
-		t.Fatal("AndAllInto into a smaller dst should fail")
+	if _, _, err := join(small, []*Bitmap{big}, tileWords, true); err == nil {
+		t.Fatal("AND join into a smaller dst should fail")
 	}
-	if _, err := OrAllInto(small, []*Bitmap{small, big}); err == nil {
-		t.Fatal("OrAllInto into a smaller dst should fail")
+	if _, _, err := join(small, []*Bitmap{small, big}, tileWords, false); err == nil {
+		t.Fatal("OR join into a smaller dst should fail")
 	}
-	var sc *JoinScratch
-	if _, _, err := sc.AndAll(nil); err == nil {
-		t.Fatal("nil-scratch AndAll(empty) should fail")
-	}
-	s := new(JoinScratch)
-	if _, _, err := s.AndAllTo(32, []*Bitmap{small}); err == nil {
-		t.Fatal("AndAllTo with an invalid size should fail")
-	}
-	if _, _, err := s.OrAllTo(96, []*Bitmap{small}); err == nil {
-		t.Fatal("OrAllTo with a non-power-of-two size should fail")
+	for _, sc := range []*JoinScratch{nil, new(JoinScratch)} {
+		if _, _, err := sc.AndAll(nil); err == nil {
+			t.Fatalf("scratch %p: AndAll(empty) should fail", sc)
+		}
 	}
 }
 
@@ -447,12 +430,12 @@ func TestFusedAliasing(t *testing.T) {
 		b.Set(rng.Uint64())
 	}
 	want := oracle(t, []*Bitmap{a, b}, true)
-	ones, err := AndAllInto(a, []*Bitmap{a, b})
+	ones, _, err := join(a, []*Bitmap{a, b}, tileWords, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ones != want.Ones() || !a.Equal(want) {
-		t.Fatal("aliased AndAllInto differs from the materialized join")
+		t.Fatal("aliased AND join differs from the materialized join")
 	}
 }
 
@@ -483,12 +466,14 @@ func TestJoinScratchReuse(t *testing.T) {
 	// but stays correct.
 	sc.Reset()
 	big := MustNew(1 << 14)
-	big.Set(12345)
-	got, ones, err := sc.OrAll([]*Bitmap{big, ms[0]})
+	for k := uint64(0); k < uint64(big.Size()); k += 3 {
+		big.Set(k) // dense, so the AND keeps most of ms[0]'s ones
+	}
+	got, ones, err := sc.AndAll([]*Bitmap{big, ms[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracle(t, []*Bitmap{big, ms[0]}, false)
+	want := oracle(t, []*Bitmap{big, ms[0]}, true)
 	if ones != want.Ones() || !got.Equal(want) {
 		t.Fatal("grown scratch lease produced a wrong join")
 	}

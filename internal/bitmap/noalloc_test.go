@@ -54,15 +54,26 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		}
 		sinkInt = ones
 	})
-	requireZeroAllocs(t, "AndAllInto", func() {
-		ones, err := AndAllInto(dst, ms)
+	requireZeroAllocs(t, "join into dst/and", func() {
+		ones, _, err := join(dst, ms, tileWords, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sinkInt = ones
 	})
-	requireZeroAllocs(t, "OrAllInto", func() {
-		ones, err := OrAllInto(dst, ms)
+	requireZeroAllocs(t, "join into dst/or", func() {
+		ones, _, err := join(dst, ms, tileWords, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkInt = ones
+	})
+	// A warm scratch reuses its slot, so steady-state AndAll leases
+	// nothing.
+	sc := new(JoinScratch)
+	requireZeroAllocs(t, "warm JoinScratch.AndAll", func() {
+		sc.Reset()
+		_, ones, err := sc.AndAll(ms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +121,8 @@ func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 			}
 			sinkInt = ones
 		})
-		requireZeroAllocs(t, "AndAllInto/"+arm.name, func() {
-			ones, err := AndAllInto(arm.dst, arm.ms)
+		requireZeroAllocs(t, "join into dst/"+arm.name, func() {
+			ones, _, err := join(arm.dst, arm.ms, tileWords, true)
 			if err != nil {
 				t.Fatal(err)
 			}

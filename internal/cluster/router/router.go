@@ -311,7 +311,9 @@ func (r *Router) Upload(rec *record.Record) error {
 // capped backoff. A record the cluster already holds counts as acked —
 // retries after a partial failure legitimately re-send records the
 // first attempt stored, and immutable deduplicated records make the
-// duplicate ack equivalent to the original.
+// duplicate ack equivalent to the original. Every acked record was
+// accepted or reported as a duplicate on its own account: a duplicate
+// that hides other failures in its batch is resolved record by record.
 func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 	accepted := 0
 	remaining := recs
@@ -344,9 +346,13 @@ func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 			groups[lead.ID] = append(groups[lead.ID], rec)
 			leaders[lead.ID] = lead
 		}
-		for id, group := range groups {
+		// deliver sends group to lead and sorts the outcome: acked records
+		// count, unroutable ones wait for the next ring refresh, and any
+		// other store failure ends the upload.
+		var deliver func(lead cluster.Member, group []*record.Record) error
+		deliver = func(lead cluster.Member, group []*record.Record) error {
 			var n int
-			err := r.callNode(leaders[id], func(c *transport.Client) error {
+			err := r.callNode(lead, func(c *transport.Client) error {
 				var cerr error
 				n, cerr = c.UploadBatch(group)
 				return cerr
@@ -357,15 +363,32 @@ func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 			case cluster.IsNotLeader(err), cluster.IsLeaderless(err):
 				retry = append(retry, group...)
 				lastErr = err
-			case isDuplicate(err):
-				// Everything in the group is already stored (or was
-				// stored by the partial attempt this retry repeats).
+			case isDuplicate(err) && n == len(group)-1:
+				// The duplicate was the only failure: the whole group is
+				// stored (or was stored by the partial attempt this retry
+				// repeats).
 				accepted += len(group)
+			case isDuplicate(err):
+				// The server names only its first failure, so the records
+				// behind the duplicate may have failed otherwise (a leader
+				// change, say). Re-send them one at a time for a verdict
+				// each.
+				for _, rec := range group {
+					if err := deliver(lead, []*record.Record{rec}); err != nil {
+						return err
+					}
+				}
 			case transport.IsRemote(err):
-				return accepted, fmt.Errorf("router: upload to %s: %w", id, err)
+				return fmt.Errorf("router: upload to %s: %w", lead.ID, err)
 			default:
 				retry = append(retry, group...)
 				lastErr = err
+			}
+			return nil
+		}
+		for id, group := range groups {
+			if err := deliver(leaders[id], group); err != nil {
+				return accepted, err
 			}
 		}
 		remaining = retry

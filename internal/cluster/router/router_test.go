@@ -412,6 +412,66 @@ func TestRouterRefreshOnLeadershipChange(t *testing.T) {
 	}
 }
 
+// TestRouterUploadDuplicateHidesNotLeader: the server reports only the
+// first per-record failure of a batch. A batch whose first record is a
+// duplicate and whose second is rejected by a leader change must not be
+// acked whole; the rejected record has to reach its new leader.
+func TestRouterUploadDuplicateHidesNotLeader(t *testing.T) {
+	nodes, rt, _ := clusterOf(t, 3)
+	const m = 64
+	old := rt.Ring()
+	moved := old.Clone()
+	moved.Epoch = 2
+	moved.VNodes = old.VNodes / 2
+	leader := func(r *cluster.Ring, loc int) string {
+		t.Helper()
+		lead, err := r.Leader(vhash.LocationID(loc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lead.ID
+	}
+	// A keeps its leader across the epochs; B shares that leader at
+	// epoch 1 and moves off it at epoch 2.
+	stays := map[string]int{}
+	leaves := map[string]int{}
+	locA, locB := 0, 0
+	for l := 1; l < 1024 && locA == 0; l++ {
+		was, now := leader(old, l), leader(moved, l)
+		if was == now && stays[was] == 0 {
+			stays[was] = l
+		} else if was != now && leaves[was] == 0 {
+			leaves[was] = l
+		}
+		if stays[was] != 0 && leaves[was] != 0 {
+			locA, locB = stays[was], leaves[was]
+		}
+	}
+	if locA == 0 {
+		t.Fatal("no location pair whose shared leader keeps one and loses the other")
+	}
+
+	if err := rt.Upload(testRecord(t, locA, 1, m)); err != nil {
+		t.Fatal(err)
+	}
+	// The nodes adopt epoch 2 behind the router's back, so the router
+	// still sends A and B together to A's leader.
+	pushRingWire(t, moved, nodes...)
+	n, err := rt.UploadBatch([]*record.Record{testRecord(t, locA, 1, m), testRecord(t, locB, 1, m)})
+	if err != nil || n != 2 {
+		t.Fatalf("UploadBatch = %d, %v; want 2 acked", n, err)
+	}
+	for _, tn := range nodes {
+		if tn.node.ID() == leader(moved, locB) {
+			if ps := tn.node.Periods(vhash.LocationID(locB)); len(ps) != 1 {
+				t.Fatalf("B's leader %s holds periods %v of location %d, want [1]", tn.node.ID(), ps, locB)
+			}
+			return
+		}
+	}
+	t.Fatalf("B's leader %s is not a cluster node", leader(moved, locB))
+}
+
 func TestRouterUploadSurvivesFailover(t *testing.T) {
 	nodes, rt, _ := clusterOf(t, 3)
 	const m = 64

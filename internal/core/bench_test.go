@@ -1,19 +1,18 @@
 package core
 
-// Benchmarks for the join pipeline, fused vs materialized, across the
-// record sizes (2^10..2^24 bits) and period counts (t = 3, 5, 10) of the
-// paper's evaluation. The "materialized" arms run the differential
-// harness's reference pipeline (the pre-kernel implementation); the
-// "fused" arms run the shipping kernels with a per-loop JoinScratch, the
-// steady-state serving configuration. `make bench-json` records the
-// results in BENCH_pr3.json.
+// Benchmarks for the estimator pipelines across the record sizes
+// (2^10..2^24 bits) and period counts (t = 3, 5, 10) of the paper's
+// evaluation. BenchmarkJoinPoint and BenchmarkJoinPointToPoint run the
+// differential harness's materialized reference pipeline (the pre-kernel
+// implementation, the "materialized" rows of BENCH_pr3.json); the
+// shipping fused pipeline is measured by BenchmarkEstimatePoint and
+// BenchmarkEstimateCache.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"ptm/internal/bitmap"
 	"ptm/internal/record"
 )
 
@@ -52,7 +51,7 @@ func log2(n int) int {
 	return k
 }
 
-var joinSink *PointJoin
+var joinSink *matPointJoin
 
 func BenchmarkJoinPoint(b *testing.B) {
 	for _, m := range benchSizes {
@@ -69,18 +68,6 @@ func BenchmarkJoinPoint(b *testing.B) {
 					joinSink = j
 				}
 			})
-			b.Run(name+"/fused", func(b *testing.B) {
-				b.ReportAllocs()
-				sc := new(bitmap.JoinScratch)
-				for i := 0; i < b.N; i++ {
-					sc.Reset()
-					j, err := JoinPointInto(sc, set, SplitHalves)
-					if err != nil {
-						b.Fatal(err)
-					}
-					joinSink = j
-				}
-			})
 		}
 	}
 }
@@ -91,8 +78,8 @@ func BenchmarkJoinPointToPoint(b *testing.B) {
 	for _, m := range benchSizes {
 		for _, t := range []int{3, 5, 10} {
 			// Table I's shape: the L record is 16x smaller than the L'
-			// record (m'/m ratios of 8..64), exercising the virtual
-			// expansion of both the records and the first-level join.
+			// record (m'/m ratios of 8..64), exercising the expansion of
+			// the first-level join.
 			mSmall := m / 16
 			if mSmall < 64 {
 				mSmall = 64
@@ -107,18 +94,7 @@ func BenchmarkJoinPointToPoint(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err := estimateFromP2PJoin(j, 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					p2pSink = res
-				}
-			})
-			b.Run(name+"/fused", func(b *testing.B) {
-				b.ReportAllocs()
-				sc := new(bitmap.JoinScratch)
-				for i := 0; i < b.N; i++ {
-					res, err := EstimatePointToPointWith(sc, setL, setLP, 3)
+					res, err := j.estimate(3)
 					if err != nil {
 						b.Fatal(err)
 					}

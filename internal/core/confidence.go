@@ -100,11 +100,11 @@ func PointConfidence(res *PointResult, level float64, replicates int, seed int64
 		}
 		setRandomBits(ea, nA, rng)
 		setRandomBits(eb, nB, rng)
-		estar := ea.Clone()
-		if err := estar.And(eb); err != nil {
+		onesStar, _, err := bitmap.AndOnes([]*bitmap.Bitmap{ea, eb})
+		if err != nil {
 			return Interval{}, err
 		}
-		rep, err := estimateFromPointJoin(&PointJoin{M: res.M, T: res.T, Ea: ea, Eb: eb, EStar: estar})
+		rep, err := pointResultFromFractions(res.M, res.T, ea.FractionZero(), eb.FractionZero(), float64(onesStar)/float64(res.M))
 		if err != nil {
 			// Degenerate replicates (possible under extreme load) are
 			// skipped rather than aborting the interval.
@@ -166,18 +166,7 @@ func PointToPointConfidence(res *PointToPointResult, level float64, replicates i
 		}
 		setRandomBits(eL, nL, rng)
 		setRandomBits(eLP, nLP, rng)
-		sStar, err := eL.ExpandTo(res.MPrime)
-		if err != nil {
-			return Interval{}, err
-		}
-		edp := sStar.Clone()
-		if err := edp.Or(eLP); err != nil {
-			return Interval{}, err
-		}
-		rep, err := estimateFromP2PJoin(&PointToPointJoin{
-			M: res.M, MPrime: res.MPrime, T: res.T,
-			EStar: eL, EStarPrime: eLP, EDoublePrime: edp,
-		}, s)
+		rep, err := p2pFromJoins(eL, eL.Ones(), eLP, eLP.Ones(), res.T, s)
 		if err != nil {
 			continue
 		}

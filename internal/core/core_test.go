@@ -75,21 +75,21 @@ func TestSplitStrategyString(t *testing.T) {
 	}
 }
 
-func TestJoinPointRequiresTwoPeriods(t *testing.T) {
+func TestEstimatePointRequiresTwoPeriods(t *testing.T) {
 	pool := newIDPool(t, 3, 1)
 	set := makeSet(t, pool, 1, 64, nil, []int{5})
-	if _, err := JoinPoint(set, SplitHalves); !errors.Is(err, ErrTooFewPeriods) {
-		t.Errorf("err = %v, want ErrTooFewPeriods", err)
-	}
 	if _, err := EstimatePoint(set); !errors.Is(err, ErrTooFewPeriods) {
 		t.Errorf("EstimatePoint err = %v", err)
+	}
+	if _, err := EstimatePointOpts(set, SplitInterleaved); !errors.Is(err, ErrTooFewPeriods) {
+		t.Errorf("EstimatePointOpts err = %v", err)
 	}
 	if _, err := EstimatePointBaseline(set); !errors.Is(err, ErrTooFewPeriods) {
 		t.Errorf("EstimatePointBaseline err = %v", err)
 	}
 }
 
-func TestJoinPointExpandsToMaxSize(t *testing.T) {
+func TestEstimatePointExpandsToMaxSize(t *testing.T) {
 	loc := vhash.LocationID(3)
 	r1, err := record.New(loc, 1, 64)
 	if err != nil {
@@ -103,21 +103,24 @@ func TestJoinPointExpandsToMaxSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := JoinPoint(set, SplitHalves)
+	res, err := EstimatePoint(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.M != 256 || j.Ea.Size() != 256 || j.Eb.Size() != 256 || j.EStar.Size() != 256 {
-		t.Errorf("join sizes: M=%d Ea=%d Eb=%d E*=%d, want 256", j.M, j.Ea.Size(), j.Eb.Size(), j.EStar.Size())
+	if res.M != 256 || res.T != 2 {
+		t.Errorf("result M/T = %d/%d, want 256/2", res.M, res.T)
 	}
-	if j.T != 2 {
-		t.Errorf("T = %d, want 2", j.T)
+	if res.Va0 != 1 || res.Vb0 != 1 || res.V1 != 0 || res.Estimate != 0 {
+		t.Errorf("empty records: Va0=%v Vb0=%v V1=%v estimate=%v, want 1/1/0/0",
+			res.Va0, res.Vb0, res.V1, res.Estimate)
 	}
 }
 
-// TestJoinPointRetainsCommonVehicles: a common vehicle's bit survives the
-// full two-subset AND pipeline across mixed bitmap sizes (Section III-A).
-func TestJoinPointRetainsCommonVehicles(t *testing.T) {
+// TestEstimatePointRetainsCommonVehicles: a common vehicle's bit survives
+// the full two-subset AND pipeline across mixed bitmap sizes (Section
+// III-A). With no transients, E* holds exactly the common vehicles' bits
+// at the largest size, so V1·m counts them.
+func TestEstimatePointRetainsCommonVehicles(t *testing.T) {
 	pool := newIDPool(t, 3, 2)
 	loc := vhash.LocationID(8)
 	common := pool.take(20)
@@ -137,15 +140,18 @@ func TestJoinPointRetainsCommonVehicles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	distinct := map[uint64]bool{}
+	for _, v := range common {
+		distinct[v.Index(loc, 1024)] = true
+	}
 	for _, strat := range []SplitStrategy{SplitHalves, SplitInterleaved} {
-		j, err := JoinPoint(set, strat)
+		res, err := EstimatePointOpts(set, strat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range common {
-			if !j.EStar.Get(v.Index(loc, j.M)) {
-				t.Errorf("strategy %v: common vehicle %d lost in E*", strat, v.ID())
-			}
+		if ones := res.V1 * float64(res.M); res.M != 1024 || ones != float64(len(distinct)) {
+			t.Errorf("strategy %v: E* holds %v ones at m=%d, want the %d common bits at 1024",
+				strat, ones, res.M, len(distinct))
 		}
 	}
 }

@@ -1,13 +1,15 @@
 package core
 
-// Differential harness for the fused join pipeline: the materialized
+// Differential harness for the fused estimator pipeline: the materialized
 // reference implementations below reproduce the pre-kernel pipelines
-// verbatim (ExpandTo every record, AndAll/OrAll, Clone+And/Or), and every
-// test demands that the fused estimators agree with them bit for bit —
-// not approximately: the virtual-expansion fractions are exactly the
-// materialized fractions, so the float64 results must be identical.
+// verbatim (ExpandTo every record, AndAll/OrAll, Clone+And/Or — for the
+// estimators, the bootstrap replicates of the confidence intervals and
+// the single-period OD volume alike), and every test demands that the
+// fused estimators agree with them bit for bit — not approximately: the
+// virtual-expansion fractions are exactly the materialized fractions, so
+// the float64 results must be identical.
 //
-// The reference is also the "materialized" arm of BenchmarkJoinPoint and
+// The reference is also the body of BenchmarkJoinPoint and
 // BenchmarkJoinPointToPoint.
 
 import (
@@ -19,11 +21,40 @@ import (
 	"ptm/internal/lpc"
 	"ptm/internal/record"
 	"ptm/internal/synth"
+	"ptm/internal/vhash"
 )
 
-// materializedJoinPoint is the original JoinPoint: expand all records to
-// m, AND-join each subset, AND the two joins.
-func materializedJoinPoint(set *record.Set, strategy SplitStrategy) (*PointJoin, error) {
+// matPointJoin is the materialized joined state of Section III-B: the
+// AND of each subset and the AND of the two, all at the largest size m.
+type matPointJoin struct {
+	M, T          int
+	Ea, Eb, EStar *bitmap.Bitmap
+}
+
+// estimate inverts Eq. (12) from the materialized bitmaps' fractions.
+func (j *matPointJoin) estimate() (*PointResult, error) {
+	return pointResultFromFractions(j.M, j.T, j.Ea.FractionZero(), j.Eb.FractionZero(), j.EStar.FractionOne())
+}
+
+// matP2PJoin is the materialized two-level joined state of Section IV-A.
+type matP2PJoin struct {
+	M, MPrime, T                    int
+	Swapped                         bool
+	EStar, EStarPrime, EDoublePrime *bitmap.Bitmap
+}
+
+// estimate inverts Eq. (21) from the materialized bitmaps' fractions.
+func (j *matP2PJoin) estimate(s int) (*PointToPointResult, error) {
+	if s < 1 {
+		return nil, ErrBadS
+	}
+	return p2pResultFromFractions(j.M, j.MPrime, s, j.T, j.Swapped,
+		j.EStar.FractionZero(), j.EStarPrime.FractionZero(), j.EDoublePrime.FractionZero())
+}
+
+// materializedJoinPoint is the original point join: expand all records
+// to m, AND-join each subset, AND the two joins.
+func materializedJoinPoint(set *record.Set, strategy SplitStrategy) (*matPointJoin, error) {
 	if set.Len() < 2 {
 		return nil, ErrTooFewPeriods
 	}
@@ -50,12 +81,13 @@ func materializedJoinPoint(set *record.Set, strategy SplitStrategy) (*PointJoin,
 	if err := estar.And(eb); err != nil {
 		return nil, err
 	}
-	return &PointJoin{M: m, T: set.Len(), Ea: ea, Eb: eb, EStar: estar}, nil
+	return &matPointJoin{M: m, T: set.Len(), Ea: ea, Eb: eb, EStar: estar}, nil
 }
 
-// materializedJoinPointToPoint is the original JoinPointToPoint: AND-join
-// each location, materialize the expansion of the smaller join, OR.
-func materializedJoinPointToPoint(setL, setLPrime *record.Set) (*PointToPointJoin, error) {
+// materializedJoinPointToPoint is the original point-to-point join:
+// AND-join each location, materialize the expansion of the smaller join,
+// OR.
+func materializedJoinPointToPoint(setL, setLPrime *record.Set) (*matP2PJoin, error) {
 	if setL.Len() < 2 || setLPrime.Len() < 2 {
 		return nil, ErrTooFewPeriods
 	}
@@ -70,6 +102,13 @@ func materializedJoinPointToPoint(setL, setLPrime *record.Set) (*PointToPointJoi
 	if err != nil {
 		return nil, err
 	}
+	return materializedSecondLevel(eL, eLP, setL.Len())
+}
+
+// materializedSecondLevel orders two first-level joins so that m <= m′,
+// materializes the expansion of the smaller and ORs it into a copy of
+// the larger.
+func materializedSecondLevel(eL, eLP *bitmap.Bitmap, t int) (*matP2PJoin, error) {
 	swapped := false
 	if eL.Size() > eLP.Size() {
 		eL, eLP = eLP, eL
@@ -83,10 +122,103 @@ func materializedJoinPointToPoint(setL, setLPrime *record.Set) (*PointToPointJoi
 	if err := edp.Or(eLP); err != nil {
 		return nil, err
 	}
-	return &PointToPointJoin{
-		M: eL.Size(), MPrime: eLP.Size(), T: setL.Len(), Swapped: swapped,
+	return &matP2PJoin{
+		M: eL.Size(), MPrime: eLP.Size(), T: t, Swapped: swapped,
 		EStar: eL, EStarPrime: eLP, EDoublePrime: edp,
 	}, nil
+}
+
+// materializedODVolume is the original EstimateODVolume: the period's
+// two records are E* and E′*, and E″* is materialized by ExpandTo+Or.
+func materializedODVolume(recL, recLPrime *record.Record, s int) (*PointToPointResult, error) {
+	if recL.Period != recLPrime.Period {
+		return nil, record.ErrPeriodSkew
+	}
+	j, err := materializedSecondLevel(recL.Bitmap, recLPrime.Bitmap, 1)
+	if err != nil {
+		return nil, err
+	}
+	return j.estimate(s)
+}
+
+// materializedPointConfidence is the original PointConfidence replicate
+// loop: each replicate materializes E* = E_a ∧ E_b with Clone+And.
+func materializedPointConfidence(res *PointResult, level float64, replicates int, seed int64) (Interval, error) {
+	rng := rand.New(rand.NewSource(seed))
+	nStar := int(res.Estimate + 0.5)
+	nA := max(int(res.Na-res.Estimate+0.5), 0)
+	nB := max(int(res.Nb-res.Estimate+0.5), 0)
+	var samples []float64
+	for r := 0; r < replicates; r++ {
+		ea, eb := bitmap.MustNew(res.M), bitmap.MustNew(res.M)
+		for i := 0; i < nStar; i++ {
+			idx := rng.Uint64()
+			ea.Set(idx)
+			eb.Set(idx)
+		}
+		setRandomBits(ea, nA, rng)
+		setRandomBits(eb, nB, rng)
+		estar := ea.Clone()
+		if err := estar.And(eb); err != nil {
+			return Interval{}, err
+		}
+		rep, err := (&matPointJoin{M: res.M, T: res.T, Ea: ea, Eb: eb, EStar: estar}).estimate()
+		if err != nil {
+			continue
+		}
+		samples = append(samples, rep.Estimate)
+	}
+	if len(samples) < replicates/2 {
+		return Interval{}, ErrDegenerate
+	}
+	lo, hi := percentiles(samples, level)
+	return Interval{Lo: lo, Hi: hi, Level: level, Replicates: len(samples)}, nil
+}
+
+// materializedP2PConfidence is the original PointToPointConfidence
+// replicate loop: each replicate materializes E″* with ExpandTo+Clone+Or.
+func materializedP2PConfidence(res *PointToPointResult, level float64, replicates int, seed int64) (Interval, error) {
+	rng := rand.New(rand.NewSource(seed))
+	nCommon := int(res.Estimate + 0.5)
+	nL := max(int(res.N-res.Estimate+0.5), 0)
+	nLP := max(int(res.NPrime-res.Estimate+0.5), 0)
+	s := res.S
+	var samples []float64
+	for r := 0; r < replicates; r++ {
+		eL, eLP := bitmap.MustNew(res.M), bitmap.MustNew(res.MPrime)
+		for i := 0; i < nCommon; i++ {
+			h1 := rng.Uint64()
+			eL.Set(h1)
+			if rng.Intn(s) == 0 {
+				eLP.Set(h1)
+			} else {
+				eLP.Set(rng.Uint64())
+			}
+		}
+		setRandomBits(eL, nL, rng)
+		setRandomBits(eLP, nLP, rng)
+		sStar, err := eL.ExpandTo(res.MPrime)
+		if err != nil {
+			return Interval{}, err
+		}
+		edp := sStar.Clone()
+		if err := edp.Or(eLP); err != nil {
+			return Interval{}, err
+		}
+		rep, err := (&matP2PJoin{
+			M: res.M, MPrime: res.MPrime, T: res.T,
+			EStar: eL, EStarPrime: eLP, EDoublePrime: edp,
+		}).estimate(s)
+		if err != nil {
+			continue
+		}
+		samples = append(samples, rep.Estimate)
+	}
+	if len(samples) < replicates/2 {
+		return Interval{}, ErrDegenerate
+	}
+	lo, hi := percentiles(samples, level)
+	return Interval{Lo: lo, Hi: hi, Level: level, Replicates: len(samples)}, nil
 }
 
 // materializedKWay is the original EstimatePointKWay join: expand all
@@ -153,31 +285,6 @@ func requireSameFloat(t *testing.T, name string, got, want float64) {
 	}
 }
 
-func TestJoinPointMatchesMaterialized(t *testing.T) {
-	sc := new(bitmap.JoinScratch)
-	for _, set := range diffPointSets(t, 8) {
-		for _, strat := range []SplitStrategy{SplitHalves, SplitInterleaved} {
-			want, err := materializedJoinPoint(set, strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, scratch := range []*bitmap.JoinScratch{nil, sc} {
-				scratch.Reset()
-				got, err := JoinPointInto(scratch, set, strat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.M != want.M || got.T != want.T {
-					t.Fatalf("meta: got (%d,%d) want (%d,%d)", got.M, got.T, want.M, want.T)
-				}
-				if !got.Ea.Equal(want.Ea) || !got.Eb.Equal(want.Eb) || !got.EStar.Equal(want.EStar) {
-					t.Fatal("fused JoinPoint bitmaps differ from materialized pipeline")
-				}
-			}
-		}
-	}
-}
-
 func TestEstimatePointMatchesMaterialized(t *testing.T) {
 	for _, set := range diffPointSets(t, 8) {
 		for _, strat := range []SplitStrategy{SplitHalves, SplitInterleaved} {
@@ -185,7 +292,7 @@ func TestEstimatePointMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantErr := estimateFromPointJoin(j)
+			want, wantErr := j.estimate()
 			got, gotErr := EstimatePointOpts(set, strat)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("error mismatch: fused %v, materialized %v", gotErr, wantErr)
@@ -225,9 +332,13 @@ func TestEstimatePointBaselineMatchesMaterialized(t *testing.T) {
 	}
 }
 
-func TestEstimatePointToPointMatchesMaterialized(t *testing.T) {
-	sc := new(bitmap.JoinScratch)
-	for i := 0; i < 8; i++ {
+// diffPairs yields two-location workloads over 2..5 periods; location B
+// carries 10x location A's traffic, so its records are larger (m < m′)
+// except in every third workload, which forces the same size.
+func diffPairs(t *testing.T, n int) []*synth.PairWorkload {
+	t.Helper()
+	var ws []*synth.PairWorkload
+	for i := 0; i < n; i++ {
 		g, err := synth.NewGenerator(uint64(500+i), 3)
 		if err != nil {
 			t.Fatal(err)
@@ -248,23 +359,35 @@ func TestEstimatePointToPointMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ws = append(ws, w)
+	}
+	return ws
+}
+
+// requireSameP2P demands bit-identical Eq. (21) results.
+func requireSameP2P(t *testing.T, got, want *PointToPointResult) {
+	t.Helper()
+	requireSameFloat(t, "Estimate", got.Estimate, want.Estimate)
+	requireSameFloat(t, "Raw", got.Raw, want.Raw)
+	requireSameFloat(t, "Exact", got.Exact, want.Exact)
+	requireSameFloat(t, "V0", got.V0, want.V0)
+	requireSameFloat(t, "V0Prime", got.V0Prime, want.V0Prime)
+	requireSameFloat(t, "V0DoublePrime", got.V0DoublePrime, want.V0DoublePrime)
+	requireSameFloat(t, "N", got.N, want.N)
+	requireSameFloat(t, "NPrime", got.NPrime, want.NPrime)
+	if got.M != want.M || got.MPrime != want.MPrime || got.T != want.T || got.S != want.S || got.Swapped != want.Swapped {
+		t.Fatalf("meta mismatch: %+v vs %+v", got, want)
+	}
+}
+
+func TestEstimatePointToPointMatchesMaterialized(t *testing.T) {
+	sc := new(bitmap.JoinScratch)
+	for _, w := range diffPairs(t, 8) {
 		j, err := materializedJoinPointToPoint(w.SetA, w.SetB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := estimateFromP2PJoin(j, 3)
-
-		// Fused join must reproduce the materialized join bit for bit.
-		gotJ, err := JoinPointToPointInto(nil, w.SetA, w.SetB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotJ.M != j.M || gotJ.MPrime != j.MPrime || gotJ.Swapped != j.Swapped {
-			t.Fatalf("join meta mismatch: %+v vs %+v", gotJ, j)
-		}
-		if !gotJ.EStar.Equal(j.EStar) || !gotJ.EStarPrime.Equal(j.EStarPrime) || !gotJ.EDoublePrime.Equal(j.EDoublePrime) {
-			t.Fatal("fused JoinPointToPoint bitmaps differ from materialized pipeline")
-		}
+		want, wantErr := j.estimate(3)
 
 		// The fused estimator, with and without a reused scratch.
 		for _, scratch := range []*bitmap.JoinScratch{nil, sc, sc} { // sc twice: reuse across calls
@@ -275,17 +398,7 @@ func TestEstimatePointToPointMatchesMaterialized(t *testing.T) {
 			if wantErr != nil {
 				continue
 			}
-			requireSameFloat(t, "Estimate", got.Estimate, want.Estimate)
-			requireSameFloat(t, "Raw", got.Raw, want.Raw)
-			requireSameFloat(t, "Exact", got.Exact, want.Exact)
-			requireSameFloat(t, "V0", got.V0, want.V0)
-			requireSameFloat(t, "V0Prime", got.V0Prime, want.V0Prime)
-			requireSameFloat(t, "V0DoublePrime", got.V0DoublePrime, want.V0DoublePrime)
-			requireSameFloat(t, "N", got.N, want.N)
-			requireSameFloat(t, "NPrime", got.NPrime, want.NPrime)
-			if got.M != want.M || got.MPrime != want.MPrime || got.Swapped != want.Swapped {
-				t.Fatalf("meta mismatch: %+v vs %+v", got, want)
-			}
+			requireSameP2P(t, got, want)
 		}
 
 		// Baseline AND variant.
@@ -348,23 +461,116 @@ func TestEstimatePointKWayMatchesMaterialized(t *testing.T) {
 // must not depend on stale contents from earlier, larger joins.
 func TestScratchIndependence(t *testing.T) {
 	sc := new(bitmap.JoinScratch)
-	sets := diffPointSets(t, 6)
-	// Prime the scratch with the largest workload, then re-run the small
-	// ones and compare against fresh computation.
+	ws := diffPairs(t, 6)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
-		set := sets[rng.Intn(len(sets))]
-		fresh, freshErr := JoinPointInto(nil, set, SplitHalves)
-		sc.Reset()
-		reused, reusedErr := JoinPointInto(sc, set, SplitHalves)
+		w := ws[rng.Intn(len(ws))]
+		fresh, freshErr := EstimatePointToPointWith(nil, w.SetA, w.SetB, 3)
+		reused, reusedErr := EstimatePointToPointWith(sc, w.SetA, w.SetB, 3)
 		if (freshErr == nil) != (reusedErr == nil) {
 			t.Fatalf("error mismatch: %v vs %v", reusedErr, freshErr)
 		}
 		if freshErr != nil {
 			continue
 		}
-		if !reused.Ea.Equal(fresh.Ea) || !reused.Eb.Equal(fresh.Eb) || !reused.EStar.Equal(fresh.EStar) {
-			t.Fatal("scratch-backed join contaminated by stale contents")
+		requireSameP2P(t, reused, fresh)
+	}
+}
+
+// requireSameInterval demands bit-identical bootstrap intervals.
+func requireSameInterval(t *testing.T, got, want Interval) {
+	t.Helper()
+	requireSameFloat(t, "Lo", got.Lo, want.Lo)
+	requireSameFloat(t, "Hi", got.Hi, want.Hi)
+	requireSameFloat(t, "Level", got.Level, want.Level)
+	if got.Replicates != want.Replicates {
+		t.Fatalf("replicates: fused %d, materialized %d", got.Replicates, want.Replicates)
+	}
+}
+
+func TestPointConfidenceMatchesMaterialized(t *testing.T) {
+	compared := 0
+	for _, set := range diffPointSets(t, 6) {
+		res, err := EstimatePoint(set)
+		if err != nil {
+			continue // saturated workloads have no interval to compare
 		}
+		for seed := int64(1); seed <= 3; seed++ {
+			want, wantErr := materializedPointConfidence(res, 0.9, 60, seed)
+			got, gotErr := PointConfidence(res, 0.9, 60, seed)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("error mismatch: fused %v, materialized %v", gotErr, wantErr)
+			}
+			if wantErr == nil {
+				requireSameInterval(t, got, want)
+				compared++
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("every workload saturated: no interval compared")
+	}
+}
+
+func TestPointToPointConfidenceMatchesMaterialized(t *testing.T) {
+	unequal := 0
+	for _, w := range diffPairs(t, 6) {
+		res, err := EstimatePointToPoint(w.SetA, w.SetB, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.M != res.MPrime {
+			unequal++
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			want, wantErr := materializedP2PConfidence(res, 0.9, 60, seed)
+			got, gotErr := PointToPointConfidence(res, 0.9, 60, seed)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("error mismatch: fused %v, materialized %v", gotErr, wantErr)
+			}
+			if wantErr == nil {
+				requireSameInterval(t, got, want)
+			}
+		}
+	}
+	if unequal == 0 {
+		t.Fatal("no workload with m < m′: the virtual expansion went untested")
+	}
+}
+
+func TestEstimateODVolumeMatchesMaterialized(t *testing.T) {
+	compared := 0
+	sizes := [][2]int{{1 << 10, 1 << 10}, {1 << 10, 1 << 13}, {1 << 12, 1 << 16}, {64, 1 << 12}}
+	for i, sz := range sizes {
+		pool := newIDPool(t, 3, uint64(300+i))
+		common := pool.take(40 + 30*i)
+		build := func(loc vhash.LocationID, m int) *record.Record {
+			r, err := record.New(loc, 7, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range common {
+				r.Bitmap.Set(v.Index(loc, m))
+			}
+			for _, v := range pool.take(m / 3) {
+				r.Bitmap.Set(v.Index(loc, m))
+			}
+			return r
+		}
+		recL, recLP := build(1, sz[0]), build(2, sz[1])
+		for _, order := range [][2]*record.Record{{recL, recLP}, {recLP, recL}} {
+			want, wantErr := materializedODVolume(order[0], order[1], 3)
+			got, gotErr := EstimateODVolume(order[0], order[1], 3)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("error mismatch: fused %v, materialized %v", gotErr, wantErr)
+			}
+			if wantErr == nil {
+				requireSameP2P(t, got, want)
+				compared++
+			}
+		}
+	}
+	if compared < len(sizes) {
+		t.Fatalf("only %d of %d OD rows compared", compared, 2*len(sizes))
 	}
 }

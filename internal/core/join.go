@@ -1,7 +1,9 @@
 // Package core implements the paper's primary contribution: the persistent
 // traffic estimators of Sections III (point) and IV (point-to-point),
-// together with the bitmap-join pipelines they are derived from and the
-// simpler baseline estimators the evaluation compares against.
+// together with the simpler baseline estimators the evaluation compares
+// against. Every estimator measures its bit fractions with the fused join
+// kernels of internal/bitmap and ends in one of two shared tails: Eq. (12)
+// for point estimates, Eq. (21) for point-to-point ones.
 package core
 
 import (
@@ -9,7 +11,6 @@ import (
 	"fmt"
 
 	"ptm/internal/bitmap"
-	"ptm/internal/record"
 )
 
 // Estimation errors.
@@ -73,105 +74,4 @@ func (s SplitStrategy) split(bs []*bitmap.Bitmap) (a, b []*bitmap.Bitmap) {
 		half := (len(bs) + 1) / 2
 		return bs[:half], bs[half:]
 	}
-}
-
-// PointJoin is the joined state of Section III-B: the AND of each subset
-// and the AND of the two, all expanded to the largest size m.
-type PointJoin struct {
-	M      int            // largest bitmap size in Π
-	T      int            // number of periods
-	Ea, Eb *bitmap.Bitmap // AND-joins of Π_a and Π_b
-	EStar  *bitmap.Bitmap // Ea AND Eb
-}
-
-// JoinPoint performs the two-subset AND join at the common size m. It
-// requires at least two periods. The records are never materialized at
-// size m: the fused kernels of internal/bitmap stream the join through
-// the replication structure directly (virtual expansion, DESIGN.md §8),
-// so only the three outputs are allocated.
-func JoinPoint(set *record.Set, strategy SplitStrategy) (*PointJoin, error) {
-	return JoinPointInto(nil, set, strategy)
-}
-
-// JoinPointInto is JoinPoint with the outputs leased from sc, so a
-// steady-state loop that calls sc.Reset between queries allocates
-// nothing. A nil sc allocates fresh outputs. The returned bitmaps are
-// valid until the next sc.Reset.
-func JoinPointInto(sc *bitmap.JoinScratch, set *record.Set, strategy SplitStrategy) (*PointJoin, error) {
-	if set.Len() < 2 {
-		return nil, fmt.Errorf("%w: got %d", ErrTooFewPeriods, set.Len())
-	}
-	bs := set.Bitmaps()
-	m := set.MaxSize()
-	pa, pb := strategy.split(bs)
-	ea, _, err := sc.AndAllTo(m, pa)
-	if err != nil {
-		return nil, fmt.Errorf("core: joining Π_a: %w", err)
-	}
-	eb, _, err := sc.AndAllTo(m, pb)
-	if err != nil {
-		return nil, fmt.Errorf("core: joining Π_b: %w", err)
-	}
-	estar, _, err := sc.AndAll([]*bitmap.Bitmap{ea, eb})
-	if err != nil {
-		return nil, fmt.Errorf("core: joining E*: %w", err)
-	}
-	return &PointJoin{M: m, T: set.Len(), Ea: ea, Eb: eb, EStar: estar}, nil
-}
-
-// PointToPointJoin is the two-level joined state of Section IV-A.
-type PointToPointJoin struct {
-	M, MPrime    int            // sizes after the per-location joins, M <= MPrime
-	T            int            // number of periods
-	Swapped      bool           // true if the input locations were swapped so M <= MPrime
-	EStar        *bitmap.Bitmap // AND-join at the location with the smaller record size
-	EStarPrime   *bitmap.Bitmap // AND-join at the other location
-	EDoublePrime *bitmap.Bitmap // OR of (EStar expanded to MPrime) and EStarPrime
-}
-
-// JoinPointToPoint performs the first-level AND joins at each location
-// and the second-level OR join (Section IV-A), expanding the smaller
-// first-level result virtually rather than materializing it. The sets
-// must cover identical period lists. If the first set's joined size
-// exceeds the second's, the roles are swapped (the common-vehicle count
-// is symmetric); Swapped records that.
-func JoinPointToPoint(setL, setLPrime *record.Set) (*PointToPointJoin, error) {
-	return JoinPointToPointInto(nil, setL, setLPrime)
-}
-
-// JoinPointToPointInto is JoinPointToPoint with outputs leased from sc;
-// see JoinPointInto for the scratch discipline.
-func JoinPointToPointInto(sc *bitmap.JoinScratch, setL, setLPrime *record.Set) (*PointToPointJoin, error) {
-	if setL.Len() < 2 || setLPrime.Len() < 2 {
-		return nil, fmt.Errorf("%w: got %d and %d", ErrTooFewPeriods, setL.Len(), setLPrime.Len())
-	}
-	if err := record.CheckAligned(setL, setLPrime); err != nil {
-		return nil, err
-	}
-	eL, _, err := sc.AndAll(setL.Bitmaps())
-	if err != nil {
-		return nil, fmt.Errorf("core: joining records at L: %w", err)
-	}
-	eLP, _, err := sc.AndAll(setLPrime.Bitmaps())
-	if err != nil {
-		return nil, fmt.Errorf("core: joining records at L': %w", err)
-	}
-	swapped := false
-	if eL.Size() > eLP.Size() {
-		eL, eLP = eLP, eL
-		swapped = true
-	}
-	edp, _, err := sc.OrAll([]*bitmap.Bitmap{eL, eLP})
-	if err != nil {
-		return nil, fmt.Errorf("core: second-level OR join: %w", err)
-	}
-	return &PointToPointJoin{
-		M:            eL.Size(),
-		MPrime:       eLP.Size(),
-		T:            setL.Len(),
-		Swapped:      swapped,
-		EStar:        eL,
-		EStarPrime:   eLP,
-		EDoublePrime: edp,
-	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ptm/internal/bitmap"
 	"ptm/internal/record"
 )
 
@@ -43,25 +42,8 @@ func EstimateODVolume(recL, recLPrime *record.Record, s int) (*PointToPointResul
 	if recL.Period != recLPrime.Period {
 		return nil, fmt.Errorf("%w: periods %d and %d", record.ErrPeriodSkew, recL.Period, recLPrime.Period)
 	}
-	if s < 1 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadS, s)
-	}
-	eL, eLP := recL.Bitmap, recLPrime.Bitmap
-	swapped := false
-	if eL.Size() > eLP.Size() {
-		eL, eLP = eLP, eL
-		swapped = true
-	}
-	// The second-level join E'' = (E* expanded) ∨ E'* is consumed only
-	// through its zero fraction; the fused OR+popcount kernel avoids
-	// materializing either the expansion or the join.
-	onesDP, mPrime, err := bitmap.OrOnes([]*bitmap.Bitmap{eL, eLP})
-	if err != nil {
-		return nil, err
-	}
-	v0dp := float64(mPrime-onesDP) / float64(mPrime)
-	return p2pResultFromFractions(eL.Size(), mPrime, s, 1, swapped,
-		eL.FractionZero(), eLP.FractionZero(), v0dp)
+	// With t = 1 the period's records are E* and E′* themselves.
+	return p2pFromJoins(recL.Bitmap, recL.Bitmap.Ones(), recLPrime.Bitmap, recLPrime.Bitmap.Ones(), 1, s)
 }
 
 // MultiPointResult is an upper bound on the persistent traffic through

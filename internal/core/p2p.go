@@ -53,36 +53,54 @@ func EstimatePointToPointWith(sc *bitmap.JoinScratch, setL, setLPrime *record.Se
 		return nil, fmt.Errorf("%w: got %d", ErrBadS, s)
 	}
 	sc.Reset()
-	if setL.Len() < 2 || setLPrime.Len() < 2 {
-		return nil, fmt.Errorf("%w: got %d and %d", ErrTooFewPeriods, setL.Len(), setLPrime.Len())
-	}
-	if err := record.CheckAligned(setL, setLPrime); err != nil {
+	eL, onesL, eLP, onesLP, err := firstLevelJoins(sc, setL, setLPrime)
+	if err != nil {
 		return nil, err
 	}
-	eL, onesL, err := sc.AndAll(setL.Bitmaps())
-	if err != nil {
-		return nil, fmt.Errorf("core: joining records at L: %w", err)
-	}
-	eLP, onesLP, err := sc.AndAll(setLPrime.Bitmaps())
-	if err != nil {
-		return nil, fmt.Errorf("core: joining records at L': %w", err)
-	}
-	return EstimatePointToPointFromJoins(eL, onesL, eLP, onesLP, setL.Len(), s)
+	return p2pFromJoins(eL, onesL, eLP, onesLP, setL.Len(), s)
 }
 
-// EstimatePointToPointFromJoins is the second level of Eq. (21): given
-// the first-level AND joins E* at L (with onesL set bits) and E′* at L′
-// (onesLP set bits), each over the same t periods, it orders the two so
-// that m <= m′, counts E″* with a fused OR+popcount over E* (virtually
-// expanded) and E′* without materializing it, and inverts the zero
-// fractions. EstimatePointToPointWith ends here, and so does the cluster
-// router, which receives E* and E′* from the two locations' partitions.
-func EstimatePointToPointFromJoins(eL *bitmap.Bitmap, onesL int, eLP *bitmap.Bitmap, onesLP, t, s int) (*PointToPointResult, error) {
-	if s < 1 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadS, s)
+// firstLevelJoins checks that the two sets cover the same t >= 2 periods
+// and AND-joins each into sc: E* at L and E′* at L′, with their popcounts
+// (Section IV-A).
+func firstLevelJoins(sc *bitmap.JoinScratch, setL, setLPrime *record.Set) (eL *bitmap.Bitmap, onesL int, eLP *bitmap.Bitmap, onesLP int, err error) {
+	if setL.Len() < 2 || setLPrime.Len() < 2 {
+		return nil, 0, nil, 0, fmt.Errorf("%w: got %d and %d", ErrTooFewPeriods, setL.Len(), setLPrime.Len())
 	}
+	if err := record.CheckAligned(setL, setLPrime); err != nil {
+		return nil, 0, nil, 0, err
+	}
+	eL, onesL, err = sc.AndAll(setL.Bitmaps())
+	if err != nil {
+		return nil, 0, nil, 0, fmt.Errorf("core: joining records at L: %w", err)
+	}
+	eLP, onesLP, err = sc.AndAll(setLPrime.Bitmaps())
+	if err != nil {
+		return nil, 0, nil, 0, fmt.Errorf("core: joining records at L': %w", err)
+	}
+	return eL, onesL, eLP, onesLP, nil
+}
+
+// EstimatePointToPointFromJoins is the second level of Eq. (21) over
+// first-level AND joins computed elsewhere: E* at L (with onesL set bits)
+// and E′* at L′ (onesLP set bits), each over the same t >= 2 periods. The
+// cluster router ends here, with E* and E′* received from the two
+// locations' partitions.
+func EstimatePointToPointFromJoins(eL *bitmap.Bitmap, onesL int, eLP *bitmap.Bitmap, onesLP, t, s int) (*PointToPointResult, error) {
 	if t < 2 {
 		return nil, fmt.Errorf("%w: got %d", ErrTooFewPeriods, t)
+	}
+	return p2pFromJoins(eL, onesL, eLP, onesLP, t, s)
+}
+
+// p2pFromJoins is the one Eq. (21) tail, shared by every point-to-point
+// estimate — persistent, single-period OD volume (t = 1) and bootstrap
+// replicate alike. It orders the two joins so that m <= m′, counts E″*
+// with a fused OR+popcount over E* (virtually expanded) and E′* without
+// materializing it, and inverts the zero fractions.
+func p2pFromJoins(eL *bitmap.Bitmap, onesL int, eLP *bitmap.Bitmap, onesLP, t, s int) (*PointToPointResult, error) {
+	if s < 1 {
+		return nil, fmt.Errorf("%w: got %d", ErrBadS, s)
 	}
 	swapped := false
 	if eL.Size() > eLP.Size() {
@@ -99,14 +117,6 @@ func EstimatePointToPointFromJoins(eL *bitmap.Bitmap, onesL int, eLP *bitmap.Bit
 	v0p := float64(mPrime-onesLP) / float64(mPrime)
 	v0dp := float64(mPrime-onesDP) / float64(mPrime)
 	return p2pResultFromFractions(m, mPrime, s, t, swapped, v0, v0p, v0dp)
-}
-
-func estimateFromP2PJoin(j *PointToPointJoin, s int) (*PointToPointResult, error) {
-	if s < 1 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadS, s)
-	}
-	return p2pResultFromFractions(j.M, j.MPrime, s, j.T, j.Swapped,
-		j.EStar.FractionZero(), j.EStarPrime.FractionZero(), j.EDoublePrime.FractionZero())
 }
 
 // p2pResultFromFractions inverts Eq. (21) from the measured fractions.
@@ -156,18 +166,11 @@ func p2pResultFromFractions(m, mPrime, s, t int, swapped bool, v0, v0p, v0dp flo
 // differing per representative choice), the AND destroys most of the
 // common-vehicle signal; the ablation bench quantifies the failure.
 func EstimatePointToPointBaselineAND(setL, setLPrime *record.Set) (float64, error) {
-	return EstimatePointToPointBaselineANDWith(nil, setL, setLPrime)
-}
-
-// EstimatePointToPointBaselineANDWith is the baseline with scratch-held
-// first-level joins; sc is Reset on entry. A nil sc allocates fresh.
-func EstimatePointToPointBaselineANDWith(sc *bitmap.JoinScratch, setL, setLPrime *record.Set) (float64, error) {
-	sc.Reset()
-	j, err := JoinPointToPointInto(sc, setL, setLPrime)
+	eL, _, eLP, _, err := firstLevelJoins(nil, setL, setLPrime)
 	if err != nil {
 		return 0, err
 	}
-	ones, mPrime, err := bitmap.AndOnes([]*bitmap.Bitmap{j.EStar, j.EStarPrime})
+	ones, mPrime, err := bitmap.AndOnes([]*bitmap.Bitmap{eL, eLP})
 	if err != nil {
 		return 0, err
 	}

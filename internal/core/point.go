@@ -87,11 +87,8 @@ func pointFractions(bs, pa, pb []*bitmap.Bitmap, m int) (va0, vb0, v1 float64, e
 	return va0, vb0, v1, nil
 }
 
-func estimateFromPointJoin(j *PointJoin) (*PointResult, error) {
-	return pointResultFromFractions(j.M, j.T, j.Ea.FractionZero(), j.Eb.FractionZero(), j.EStar.FractionOne())
-}
-
 // pointResultFromFractions inverts Eq. (12) from the measured fractions.
+// Every point estimate ends here, bootstrap replicates included.
 func pointResultFromFractions(m, t int, va0, vb0, v1 float64) (*PointResult, error) {
 	if va0 == 0 || vb0 == 0 {
 		return nil, fmt.Errorf("%w: Va0=%v Vb0=%v", ErrSaturated, va0, vb0)

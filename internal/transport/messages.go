@@ -271,15 +271,6 @@ func decodeUploadBatch(b []byte) ([]*record.Record, error) {
 	return recs, nil
 }
 
-// EncodeRecordBatch frames records in the UploadBatch wire format —
-// exported for protocol extensions that carry record batches in their
-// own frame types.
-//
-//ptm:sink transport upload
-func EncodeRecordBatch(recs []*record.Record) ([]byte, error) {
-	return encodeUploadBatch(recs)
-}
-
 // EncodeRecordBlobs frames already-marshaled records in the UploadBatch
 // wire format. The cluster shipper holds WAL entries (which are exactly
 // record.MarshalBinary blobs) and must not pay a decode/re-encode round
@@ -308,8 +299,8 @@ func EncodeRecordBlobs(blobs [][]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRecordBatch parses a record batch framed by EncodeRecordBatch or
-// EncodeRecordBlobs, validating every record.
+// DecodeRecordBatch parses a record batch in the UploadBatch wire format
+// (as framed by EncodeRecordBlobs), validating every record.
 func DecodeRecordBatch(payload []byte) ([]*record.Record, error) {
 	return decodeUploadBatch(payload)
 }

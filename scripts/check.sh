@@ -49,8 +49,16 @@ step() {
 	printf '==> %s\n' "$*"
 }
 
-step "gofmt -l cmd internal"
-unformatted="$(gofmt -l cmd internal)"
+step "gofmt -l (every tracked .go file)"
+# Tracked files only: the root package, examples/ and e2ebench/ are
+# checked, build caches such as .bench_build/ are not.
+gofiles="$(git ls-files '*.go')"
+if [ -z "$gofiles" ]; then
+	printf 'gofmt: git ls-files found no .go files (not a git checkout?)\n' >&2
+	exit 1
+fi
+# $gofiles is split on purpose: one path per word (no tracked path has a space).
+unformatted="$(gofmt -l $gofiles)"
 if [ -n "$unformatted" ]; then
 	printf 'gofmt: the following files need formatting:\n%s\n' "$unformatted" >&2
 	exit 1
